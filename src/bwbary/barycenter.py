@@ -15,13 +15,18 @@ from .exceptions import (
     PositivityLossError,
     ValidationError,
 )
-from .geometry import _psd_sqrt_stack, _transport_stack
+from .geometry import TransportPrep, _d2_stack, _psd_sqrt_stack, _transport_stack
 from .hermitian import (
     COMPLEX,
     PD_REL_TOL,
     PsdMatrix,
+    RANK_REL_TOL,
     REAL,
     SubspaceBasis,
+    _clipped_sqrt,
+    _coords,
+    _inv_sqrt,
+    _spectral,
     as_psd,
     hermitian_part,
 )
@@ -32,9 +37,13 @@ MAX_STEP_HALVINGS = 60
 
 
 class SampleSet:
-    """An ordered collection of PSD matrices with normalized weights."""
+    """An ordered collection of PSD matrices with normalized weights.
 
-    __slots__ = ("array", "weights", "mode")
+    Its caches (the roots, the last transport prep) are each replaced whole, so
+    threads sharing a set can at worst recompute the same value.
+    """
+
+    __slots__ = ("array", "weights", "mode", "_strictly_positive", "_roots", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
         if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
@@ -80,6 +89,8 @@ class SampleSet:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != (n,):
                 raise DimensionMismatchError(f"weights shape {w.shape} != ({n},)")
+            if not np.all(np.isfinite(w)):
+                raise ValidationError("weights must be finite")
             if np.any(w < 0):
                 raise ValidationError("weights must be nonnegative")
             if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -89,6 +100,10 @@ class SampleSet:
         self.array = stack
         self.weights = w
         self.mode = mode
+        pd = eigs[:, 0] > PD_REL_TOL * lam_max
+        self._strictly_positive = bool(np.any(pd & (w > 0)))
+        self._roots = None
+        self._prep = None
 
     @staticmethod
     def _worst_herm(stack):
@@ -107,9 +122,26 @@ class SampleSet:
 
     def has_strictly_positive(self) -> bool:
         """True when some sample with positive weight is strictly positive."""
-        eigs = np.linalg.eigvalsh(self.array)
-        pd = eigs[:, 0] > PD_REL_TOL * np.maximum(eigs[:, -1], 0.0)
-        return bool(np.any(pd & (self.weights > 0)))
+        return self._strictly_positive
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The principal square roots S_i^{1/2}, computed once."""
+        if self._roots is None:
+            roots = _psd_sqrt_stack(self.array)
+            roots.setflags(write=False)
+            self._roots = roots
+        return self._roots
+
+    def transport_prep(self, q: np.ndarray) -> TransportPrep:
+        """Maps T_Q^{S_i} and dT data at a validated base point Q, memoised
+        for the last Q so that estimators at the same Q share one eigh."""
+        key = q.tobytes()
+        cached = self._prep
+        if cached is None or cached[0] != key:
+            self._prep = cached = None  # free the stale prep before building one
+            cached = self._prep = (key, _transport_stack(q, self.roots))
+        return cached[1]
 
 
 def as_sample_set(value, weights=None) -> SampleSet:
@@ -153,7 +185,7 @@ class BarycenterResult:
     iterations: int
     residual: float
     variance: float
-    trace_history: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
     variance_history: list = field(default_factory=list)
 
 
@@ -163,18 +195,7 @@ def frechet_variance(q, samples, weights=None) -> float:
     qm = as_psd(q)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
-    w, v = np.linalg.eigh(qm.array)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conjugate(v.T)
-    inner = np.einsum("ij,njk,kl->nil", root, ss.array, root)
-    lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    traces = np.real(np.trace(ss.array, axis1=1, axis2=2))
-    d2 = qm.trace + traces - 2.0 * np.sqrt(lam).sum(axis=1)
-    return float(max(np.dot(ss.weights, np.clip(d2, 0.0, None)), 0.0))
-
-
-def _project_coords(basis, mats):
-    """Coordinates of a matrix (or stack) in the basis."""
-    return np.real(np.einsum("kab,...ab->...k", np.conjugate(basis.basis), mats))
+    return float(max(np.dot(ss.weights, _d2_stack(qm.array, ss.array)), 0.0))
 
 
 def residual(q, samples, basis: SubspaceBasis | None = None, weights=None) -> float:
@@ -183,24 +204,35 @@ def residual(q, samples, basis: SubspaceBasis | None = None, weights=None) -> fl
     qm = as_psd(q, require_pd=True)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
-    roots = _psd_sqrt_stack(ss.array)
-    t, _ = _transport_stack(qm.array, roots)
+    t = ss.transport_prep(qm.array).t
     gap = np.einsum("n,nij->ij", ss.weights, t) - np.eye(ss.dim, dtype=t.dtype)
     if basis is None:
         return float(np.linalg.norm(gap))
     if basis.dim_ambient != ss.dim:
         raise DimensionMismatchError("basis ambient dimension does not match samples")
-    return float(np.linalg.norm(_project_coords(basis, gap)))
+    return float(np.linalg.norm(_coords(basis, gap)))
 
 
 def _mean_sqrt_conjugated(q_root, stack, weights):
     """(sum_i w_i (Q^{1/2} S_i Q^{1/2})^{1/2}, eigenvalue sums) for one iterate."""
-    inner = np.einsum("ij,njk,kl->nil", q_root, stack, q_root)
-    lam, v = np.linalg.eigh(inner)
-    sq = np.sqrt(np.clip(lam, 0.0, None))
-    roots = np.einsum("nij,nj,nkj->nik", v, sq, np.conjugate(v))
-    mean_root = np.einsum("n,nij->ij", weights, roots)
-    return hermitian_part(mean_root), sq.sum(axis=1)
+    lam, v = np.linalg.eigh(q_root @ stack @ q_root)
+    mean_root = np.einsum("n,nij->ij", weights, _spectral(lam, v, _ranked_sqrt))
+    return hermitian_part(mean_root), _ranked_sqrt(lam).sum(axis=1)
+
+
+def _ranked_sqrt(lam):
+    # Eigenvalues of a singular S_i come out as roundoff of order 1e-16 lam_max,
+    # and their square roots would put a 1e-8 floor under the residual; those
+    # at or below RANK_REL_TOL lam_max are zeros, as in the transport maps.
+    return np.where(lam > RANK_REL_TOL * lam[:, -1:], _clipped_sqrt(lam), 0.0)
+
+
+def _append_variance(variances, variance, mean_trace, rule, it):
+    # The variance is in trace units, so its roundoff scales with the data.
+    if variances and variance > variances[-1] + 1e-10 * mean_trace:
+        logger.warning("%s variance increased by %.3e at iteration %d",
+                       rule, variance - variances[-1], it)
+    variances.append(variance)
 
 
 def _eigh_pd(mat, floor):
@@ -218,29 +250,21 @@ def _solve_fixed_point(ss: SampleSet, cfg: SolverConfig):
     q = hermitian_part(np.einsum("n,nij->ij", weights, stack))
     history = []
     variances = []
-    prev_variance = np.inf
     for it in range(cfg.max_iter + 1):
         eig = _eigh_pd(q, PD_REL_TOL)
         if eig is None:
             raise PositivityLossError("fixed-point iterate lost strict positivity")
         w, v = eig
-        q_root = (v * np.sqrt(w)) @ np.conjugate(v.T)
-        q_root_inv = (v / np.sqrt(w)) @ np.conjugate(v.T)
+        q_root = _spectral(w, v, np.sqrt)
+        q_root_inv = _spectral(w, v, _inv_sqrt)
         mean_root, sqrt_sums = _mean_sqrt_conjugated(q_root, stack, weights)
         mean_t = hermitian_part(q_root_inv @ mean_root @ q_root_inv)
         res = float(np.linalg.norm(mean_t - np.eye(d, dtype=mean_t.dtype)))
         variance = float(np.real(np.trace(q))) + mean_trace - 2.0 * float(
             np.dot(weights, sqrt_sums)
         )
-        if variance > prev_variance + 1e-10:
-            logger.warning(
-                "fixed-point variance increased by %.3e at iteration %d",
-                variance - prev_variance,
-                it,
-            )
-        prev_variance = variance
         history.append(res)
-        variances.append(variance)
+        _append_variance(variances, variance, mean_trace, "fixed-point", it)
         if res <= cfg.tol_residual:
             return q, it, res, max(variance, 0.0), history, variances
         if it == cfg.max_iter:
@@ -257,7 +281,7 @@ def _ridge_to_pd(anchor, basis, d, dtype):
     """Move the anchor inside the PD cone along Pi_M(I - Q0), doubling the ridge."""
     q0 = anchor.array.astype(dtype)
     direction = np.einsum(
-        "k,kab->ab", _project_coords(basis, np.eye(d, dtype=dtype) - q0), basis.basis
+        "k,kab->ab", _coords(basis, np.eye(d, dtype=dtype) - q0), basis.basis
     )
     if np.linalg.norm(direction) < 1e-14:
         raise PositivityLossError("anchor is singular and cannot be ridged inside A")
@@ -275,7 +299,6 @@ def _solve_projected_descent(ss: SampleSet, basis: SubspaceBasis, cfg: SolverCon
     d = ss.dim
     if basis.dim_ambient != d:
         raise DimensionMismatchError("constraint basis does not match sample dimension")
-    sample_roots = _psd_sqrt_stack(stack)
     traces = np.real(np.trace(stack, axis1=1, axis2=2))
     mean_trace = float(np.dot(weights, traces))
     if basis.anchor is not None:
@@ -291,25 +314,17 @@ def _solve_projected_descent(ss: SampleSet, basis: SubspaceBasis, cfg: SolverCon
     halvings = 0
     history = []
     variances = []
-    prev_variance = np.inf
     lhat = None
     for it in range(cfg.max_iter + 1):
-        t, lam = _transport_stack(q, sample_roots)
+        t, _, _, lam = ss.transport_prep(q)
         mean_t = np.einsum("n,nij->ij", weights, t)
-        coords = _project_coords(basis, mean_t - np.eye(d, dtype=t.dtype))
+        coords = _coords(basis, mean_t - np.eye(d, dtype=t.dtype))
         res = float(np.linalg.norm(coords))
         variance = float(np.real(np.trace(q))) + mean_trace - 2.0 * float(
             np.dot(weights, np.sqrt(lam).sum(axis=1))
         )
-        if variance > prev_variance + 1e-10:
-            logger.warning(
-                "descent variance increased by %.3e at iteration %d",
-                variance - prev_variance,
-                it,
-            )
-        prev_variance = variance
         history.append(res)
-        variances.append(variance)
+        _append_variance(variances, variance, mean_trace, "descent", it)
         if res <= cfg.tol_residual:
             return q, it, res, max(variance, 0.0), history, variances
         if it == cfg.max_iter:
@@ -383,6 +398,6 @@ def solve_barycenter(
         iterations=iters,
         residual=res,
         variance=variance,
-        trace_history=history,
+        residual_history=history,
         variance_history=variances,
     )

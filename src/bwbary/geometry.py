@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,11 +13,13 @@ from .exceptions import DimensionMismatchError, NumericalError
 from .hermitian import (
     OperatorOnM,
     PsdMatrix,
-    RANK_REL_TOL,
     SubspaceBasis,
+    _adjoint,
+    _clipped_sqrt,
+    _pinv_sqrt,
+    _spectral,
     as_psd,
     hermitian_part,
-    sqrt_psd,
     vectorize,
 )
 
@@ -29,10 +32,6 @@ def _pair(q, s):
     if qm.dim != sm.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {sm.dim}")
     return qm, sm
-
-
-def _psd_root_from_eigh(w, v):
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conjugate(v.T)
 
 
 def bw_distance_sq(q, s) -> float:
@@ -48,8 +47,7 @@ def bw_distance_sq(q, s) -> float:
         a, b = b, a
     elif a.tobytes() == b.tobytes():
         return 0.0
-    w, v = np.linalg.eigh(a)
-    root = _psd_root_from_eigh(w, v)
+    root = _psd_sqrt_stack(a)
     inner = np.linalg.eigvalsh(root @ b @ root)
     value = float(np.real(np.trace(a) + np.trace(b))) - 2.0 * float(
         np.sum(np.sqrt(np.clip(inner, 0.0, None)))
@@ -88,16 +86,7 @@ def transport_map(q, s) -> TransportMap:
     """
     qm, sm = _pair(q, s)
     qm = as_psd(qm, require_pd=True)
-    a = sqrt_psd(sm).array
-    lam, v = np.linalg.eigh(a @ qm.array @ a)
-    lam = np.clip(lam, 0.0, None)
-    lam_max = float(lam[-1])
-    inv = np.zeros_like(lam)
-    if lam_max > 0.0:
-        mask = lam > RANK_REL_TOL * lam_max
-        inv[mask] = 1.0 / np.sqrt(lam[mask])
-    g = a @ v
-    t = hermitian_part((g * inv) @ np.conjugate(g.T))
+    t = _transport_stack(qm.array, _psd_sqrt_stack(sm.array[None])).t[0]
     return TransportMap(PsdMatrix(t, mode=sm.mode), qm, sm)
 
 
@@ -116,40 +105,23 @@ class TransportDifferential:
     immutable, so instances can be shared between threads.
     """
 
-    __slots__ = ("base_q", "base_s", "_g", "_w2", "_q_root", "eigenvalues")
+    __slots__ = ("base_q", "base_s", "_prep", "_q_root", "eigenvalues")
 
     def __init__(self, q, s):
         qm, sm = _pair(q, s)
         qm = as_psd(qm, require_pd=True)
-        a = sqrt_psd(sm).array
-        lam, v = np.linalg.eigh(a @ qm.array @ a)
-        lam = np.clip(lam, 0.0, None)
-        roots = np.sqrt(lam)
-        lam_max = float(lam[-1])
-        denom = np.multiply.outer(roots, roots) * (roots[:, None] + roots[None, :])
-        w2 = np.zeros_like(denom)
-        if lam_max > 0.0:
-            mask = lam > RANK_REL_TOL * lam_max
-            block = np.logical_and.outer(mask, mask)
-            w2[block] = 1.0 / denom[block]
-        wq, vq = np.linalg.eigh(qm.array)
         self.base_q = qm
         self.base_s = sm
-        self._g = a @ v
-        self._w2 = w2
-        self._q_root = (vq * np.sqrt(wq)) @ np.conjugate(vq.T)
-        self.eigenvalues = lam
-        self._w2.setflags(write=False)
-        self.eigenvalues.setflags(write=False)
+        self._prep = _transport_stack(qm.array, _psd_sqrt_stack(sm.array[None]))
+        self._q_root = _psd_sqrt_stack(qm.array)
+        self.eigenvalues = self._prep.lam[0]
 
     def apply(self, x) -> np.ndarray:
         """Raw differential dT applied to a Hermitian perturbation X."""
         arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
         if arr.shape != self.base_q.array.shape:
             raise DimensionMismatchError("perturbation dimension mismatch")
-        g = self._g
-        delta = np.conjugate(g.T) @ arr @ g
-        return hermitian_part(-g @ (delta * self._w2) @ np.conjugate(g.T))
+        return hermitian_part(_dt_apply(self._prep, arr)[0])
 
     def apply_rescaled(self, zeta) -> np.ndarray:
         """Rescaled differential dt(zeta) = Q^{1/2} dT(Q^{1/2} zeta Q^{1/2}) Q^{1/2}."""
@@ -182,46 +154,56 @@ def operator_matrix(op, basis: SubspaceBasis, rescaled: bool = False) -> Operato
 
 # ---------------------------------------------------------------------------
 # Stacked helpers shared by the solver and the estimators.  All operate on
-# plain (n, d, d) arrays and assume inputs already validated.
+# plain arrays, (n, d, d) stacks unless said otherwise, and assume inputs
+# already validated.
 # ---------------------------------------------------------------------------
 
 
 def _psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mats)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return np.einsum("nij,nj,nkj->nik", v, s, np.conjugate(v))
+    """Principal square root of a PSD matrix or of every matrix in a stack."""
+    return _spectral(*np.linalg.eigh(mats), _clipped_sqrt)
 
 
-def _transport_stack(q: np.ndarray, roots: np.ndarray):
-    """Transport maps T_Q^{S_i} for a stack of targets given S_i^{1/2}.
+def _d2_stack(q: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Squared distances d^2(Q, S_i) from Q to every S_i, clipped at 0."""
+    root = _psd_sqrt_stack(q)
+    lam = np.linalg.eigvalsh(root @ stack @ root)
+    traces = np.real(np.trace(stack, axis1=1, axis2=2))
+    d2 = np.real(np.trace(q)) + traces - 2.0 * _clipped_sqrt(lam).sum(axis=1)
+    return np.clip(d2, 0.0, None)
 
-    Returns (T stack, eigenvalues of S_i^{1/2} Q S_i^{1/2} ascending).
+
+class TransportPrep(NamedTuple):
+    """Maps t = T_Q^{S_i} and the data of dT_i(X) = -G (w2 * G^* X G) G^*, with
+    G = S_i^{1/2} V from S_i^{1/2} Q S_i^{1/2} = V diag(lam) V^*, lam ascending."""
+
+    t: np.ndarray
+    g: np.ndarray
+    w2: np.ndarray
+    lam: np.ndarray
+
+
+def _transport_stack(q: np.ndarray, roots: np.ndarray) -> TransportPrep:
+    """Transport maps and dT data from one eigh per target, given S_i^{1/2}.
+
+    Eigenvalues at or below RANK_REL_TOL times the largest count as zero: the
+    maps take the pseudo-inverse branch and w2 = 1 / (r_a r_b (r_a + r_b))
+    vanishes on their pairs.
     """
-    inner = np.einsum("nij,jk,nkl->nil", roots, q, roots)
-    lam, v = np.linalg.eigh(inner)
+    lam, g = np.linalg.eigh(roots @ q @ roots)
     lam = np.clip(lam, 0.0, None)
-    lam_max = lam[:, -1:]
-    inv = np.zeros_like(lam)
-    ok = lam_max[:, 0] > 0.0
-    mask = lam > RANK_REL_TOL * lam_max
-    mask &= ok[:, None]
-    inv[mask] = 1.0 / np.sqrt(lam[mask])
-    g = roots @ v
-    t = np.einsum("nij,nj,nkj->nik", g, inv, np.conjugate(g))
-    return hermitian_part(t), lam
-
-
-def _dt_stack(q: np.ndarray, roots: np.ndarray):
-    """Cached data (G_i, w2_i, lam_i) for batched dT_Q^{S_i} evaluation."""
-    inner = np.einsum("nij,jk,nkl->nil", roots, q, roots)
-    lam, v = np.linalg.eigh(inner)
-    lam = np.clip(lam, 0.0, None)
+    g = roots @ g  # G = S^{1/2} V, rebound so V is freed early
+    inv = _pinv_sqrt(lam)
     sq = np.sqrt(lam)
-    lam_max = lam[:, -1:]
-    denom = sq[:, :, None] * sq[:, None, :] * (sq[:, :, None] + sq[:, None, :])
-    mask = lam > RANK_REL_TOL * np.maximum(lam_max, 0.0)
-    mask &= lam_max > 0.0
-    block = mask[:, :, None] & mask[:, None, :]
-    w2 = np.zeros_like(denom)
-    w2[block] = 1.0 / denom[block]
-    return roots @ v, w2, lam
+    w2 = inv[:, :, None] * inv[:, None, :]
+    np.divide(w2, sq[:, :, None] + sq[:, None, :], out=w2, where=w2 > 0.0)
+    prep = TransportPrep(hermitian_part(_spectral(lam, g, _pinv_sqrt)), g, w2, lam)
+    for arr in prep:
+        arr.setflags(write=False)
+    return prep
+
+
+def _dt_apply(prep: TransportPrep, x: np.ndarray) -> np.ndarray:
+    """dT_i(X) for every target in the prep; X may be one matrix or a stack."""
+    gh = _adjoint(prep.g)
+    return -(prep.g @ ((gh @ x @ prep.g) * prep.w2) @ gh)

@@ -39,7 +39,32 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + np.conjugate(np.swapaxes(a, -1, -2))) / 2
+    return (a + _adjoint(a)) / 2
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack (a view if real)."""
+    t = np.swapaxes(a, -1, -2)
+    return np.conjugate(t) if np.iscomplexobj(t) else t
+
+
+def _spectral(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
+    """V diag(f(w)) V^* for a matrix or a stack; f maps the spectrum elementwise."""
+    return (v * f(w)[..., None, :]) @ _adjoint(v)
+
+
+def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
+def _inv_sqrt(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
+
+
+def _pinv_sqrt(w: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """w^{-1/2} above rank_tol times the last (largest) value of each row, else 0."""
+    keep = w > rank_tol * w[..., -1:]
+    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
 def _as_square_array(value, name="matrix"):
@@ -182,8 +207,7 @@ def sqrt_psd(a) -> PsdMatrix:
     """Principal square root of a PSD matrix."""
     mat = as_psd(a)
     w, v = _clamped_spectrum(mat)
-    root = (v * np.sqrt(w)) @ np.conjugate(v.T)
-    return PsdMatrix(hermitian_part(root), mode=mat.mode)
+    return PsdMatrix(hermitian_part(_spectral(w, v, np.sqrt)), mode=mat.mode)
 
 
 def pinv_sqrt_psd(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
@@ -193,12 +217,7 @@ def pinv_sqrt_psd(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     """
     mat = as_psd(a)
     w, v = _clamped_spectrum(mat)
-    lam_max = float(w[-1])
-    inv = np.zeros_like(w)
-    if lam_max > 0.0:
-        mask = w > rank_tol * lam_max
-        inv[mask] = 1.0 / np.sqrt(w[mask])
-    return hermitian_part((v * inv) @ np.conjugate(v.T))
+    return hermitian_part(_spectral(w, v, lambda lam: _pinv_sqrt(lam, rank_tol)))
 
 
 def sqrt_differential(q, x) -> np.ndarray:
@@ -278,11 +297,16 @@ def _check_ambient(basis: SubspaceBasis, x: np.ndarray):
         )
 
 
+def _coords(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
+    """Coordinates <B_k, X> of a matrix or of every matrix in a stack, unchecked."""
+    return np.real(np.einsum("kab,...ab->...k", np.conjugate(basis.basis), mats))
+
+
 def vectorize(basis: SubspaceBasis, x) -> np.ndarray:
     """Coordinates v_k = <B_k, X> of (the projection of) X in the basis."""
     arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
     _check_ambient(basis, arr)
-    return np.real(np.einsum("kab,ab->k", np.conjugate(basis.basis), arr))
+    return _coords(basis, arr)
 
 
 def devectorize(basis: SubspaceBasis, coords) -> np.ndarray:
@@ -372,9 +396,8 @@ def whitened_basis(basis: SubspaceBasis, q) -> SubspaceBasis:
     mat = as_psd(q, require_pd=True)
     if mat.dim != basis.dim_ambient:
         raise DimensionMismatchError("Q dimension does not match basis")
-    w, v = np.linalg.eigh(mat.array)
-    inv_root = (v / np.sqrt(w)) @ np.conjugate(v.T)
-    images = np.einsum("ab,kbc,cd->kad", inv_root, basis.basis, inv_root)
+    inv_root = _spectral(*np.linalg.eigh(mat.array), _inv_sqrt)
+    images = inv_root @ basis.basis @ inv_root
     out = []
     for raw in hermitian_part(images):
         for done in out:

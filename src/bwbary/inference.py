@@ -17,8 +17,9 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import (
-    TransportDifferential,
-    _dt_stack,
+    TransportPrep,
+    _d2_stack,
+    _dt_apply,
     _psd_sqrt_stack,
     _transport_stack,
     bw_distance,
@@ -27,6 +28,11 @@ from .hermitian import (
     OperatorOnM,
     PsdMatrix,
     SubspaceBasis,
+    _adjoint,
+    _clipped_sqrt,
+    _coords,
+    _inv_sqrt,
+    _spectral,
     as_psd,
     devectorize,
     hermitian_part,
@@ -37,6 +43,10 @@ from .hermitian import (
 logger = logging.getLogger(__name__)
 
 XI_RANK_TOL = 1e-10
+
+# Samples per F-hat GEMM.  A constant, so the summation order (and the report
+# bytes) never depend on the thread count.
+F_HAT_CHUNK = 1024
 
 
 @dataclass
@@ -51,10 +61,6 @@ class CltReport:
     studentized: np.ndarray
     dbw_stat: float
     variance_stat: float
-
-
-def _coords_stack(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("kab,nab->nk", np.conjugate(basis.basis), mats))
 
 
 def _check_dims(q: PsdMatrix, ss, basis: SubspaceBasis):
@@ -73,22 +79,29 @@ def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     ss = as_sample_set(samples)
     qm = as_psd(q, require_pd=True)
     _check_dims(qm, ss, basis)
-    roots = _psd_sqrt_stack(ss.array)
-    t, _ = _transport_stack(qm.array, roots)
-    coords = _coords_stack(basis, t - np.eye(ss.dim, dtype=t.dtype))
+    t = ss.transport_prep(qm.array).t
+    coords = _coords(basis, t - np.eye(ss.dim, dtype=t.dtype))
     mat = np.einsum("n,nk,nl->kl", ss.weights, coords, coords)
     return OperatorOnM(basis, mat)
 
 
-def _f_hat_from_prep(g, w2, weights, elements):
+def _f_hat_from_prep(prep: TransportPrep, weights, elements):
     """Materialize -sum_i w_i dT_i on the given Hermitian elements.
 
     Uses <-dT(X), Y> = sum_ab w2_ab Delta^X_ab conj(Delta^Y_ab) with
-    Delta = G* X G, the quadratic form behind self-adjointness of dT.
+    Delta = G* X G, the quadratic form behind self-adjointness of dT.  With
+    X_k = Delta^{B_k} sqrt(w_i w2_i) flattened over (i, a, b) the matrix is
+    Re(X X^*), accumulated one GEMM per F_HAT_CHUNK samples to bound memory.
     """
-    delta = np.einsum("nba,kbc,ncd->nkad", np.conjugate(g), elements, g)
-    mat = np.einsum("n,nkad,nad,nlad->kl", weights, delta, w2, np.conjugate(delta))
-    return np.real(mat)
+    m = elements.shape[0]
+    scale = np.sqrt(weights[:, None, None] * prep.w2)
+    mat = np.zeros((m, m))
+    for lo in range(0, len(weights), F_HAT_CHUNK):
+        g = prep.g[lo:lo + F_HAT_CHUNK]
+        x = (_adjoint(g) @ (elements[:, None] @ g)) * scale[lo:lo + F_HAT_CHUNK]
+        x = x.reshape(m, -1)
+        mat += np.real(x @ _adjoint(x))
+    return mat
 
 
 def estimate_f_hat(samples, q, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:
@@ -102,26 +115,21 @@ def estimate_f_hat(samples, q, basis: SubspaceBasis, rescaled: bool = False) -> 
     ss = as_sample_set(samples)
     qm = as_psd(q, require_pd=True)
     _check_dims(qm, ss, basis)
-    roots = _psd_sqrt_stack(ss.array)
-    g, w2, _ = _dt_stack(qm.array, roots)
+    prep = ss.transport_prep(qm.array)
     if not rescaled:
-        mat = _f_hat_from_prep(g, w2, ss.weights, basis.basis)
-        return OperatorOnM(basis, mat)
+        return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
     white = whitened_basis(basis, qm)
-    w, v = np.linalg.eigh(qm.array)
-    q_root = (v * np.sqrt(w)) @ np.conjugate(v.T)
-    elements = np.einsum("ab,kbc,cd->kad", q_root, white.basis, q_root)
-    mat = _f_hat_from_prep(g, w2, ss.weights, elements)
-    return OperatorOnM(white, mat)
+    q_root = _psd_sqrt_stack(qm.array)
+    elements = q_root @ white.basis @ q_root
+    return OperatorOnM(white, _f_hat_from_prep(prep, ss.weights, elements))
 
 
-def _inv_from_operator(op: OperatorOnM, rank_tol: float, what: str) -> np.ndarray:
+def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarray:
+    """f(op) from the spectrum of op, which must be positive definite."""
     w, v = np.linalg.eigh(op.matrix)
     if not w[0] > rank_tol * max(float(w[-1]), 0.0):
-        raise DegenerateCovarianceError(
-            f"{what} is singular (lambda_min = {w[0]:.3e}); cannot invert"
-        )
-    return (v / w) @ v.T
+        raise DegenerateCovarianceError(f"{what} (lambda_min = {w[0]:.3e})")
+    return _spectral(w, v, f)
 
 
 def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM,
@@ -131,19 +139,10 @@ def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM,
         raise DimensionMismatchError("sigma and F live on different subspaces")
     if not np.array_equal(sigma_hat.basis.basis, f_hat.basis.basis):
         raise ValidationError("sigma and F are materialized on different bases")
-    f_inv = _inv_from_operator(f_hat, rank_tol, "F-hat")
+    f_inv = _operator_power(f_hat, np.reciprocal, rank_tol,
+                            "F-hat is singular; cannot invert")
     xi = f_inv @ sigma_hat.matrix @ f_inv
     return OperatorOnM(sigma_hat.basis, (xi + xi.T) / 2)
-
-
-def _inv_sqrt_psd_operator(op: OperatorOnM, what: str) -> np.ndarray:
-    w, v = np.linalg.eigh(op.matrix)
-    if not w[0] > XI_RANK_TOL * max(float(w[-1]), 0.0):
-        raise DegenerateCovarianceError(
-            f"{what} has a null direction (lambda_min = {w[0]:.3e});"
-            " studentization is undefined"
-        )
-    return (v / np.sqrt(w)) @ v.T
 
 
 def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
@@ -164,7 +163,8 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
         logger.warning(
             "Q_n - Q_ref has a component of norm %.3e outside M; projecting", off
         )
-    inv_root = _inv_sqrt_psd_operator(xi_hat, "Xi-hat")
+    inv_root = _operator_power(xi_hat, _inv_sqrt, XI_RANK_TOL,
+                               "Xi-hat has a null direction; studentization is undefined")
     return np.sqrt(float(n)) * (inv_root @ coords)
 
 
@@ -182,14 +182,12 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     w, v = np.linalg.eigh(xi.matrix)
     if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0, 1.0):
         raise ValidationError("xi must be PSD")
-    half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    half = _spectral(w, v, _clipped_sqrt)
     g = rng.standard_normal((xi.dim_m, count))
     coords = half @ g
     z = np.einsum("kab,kn->nab", basis.basis, coords)
-    dt = TransportDifferential(qm, qm)
-    delta = np.einsum("ba,nbc,cd->nad", np.conjugate(dt._g), z, dt._g)
-    images = -np.einsum("ab,nbc,dc->nad", dt._g, delta * dt._w2, np.conjugate(dt._g))
-    scaled = np.einsum("ab,nbc->nac", dt._q_root, images)
+    root = _psd_sqrt_stack(qm.array)
+    scaled = root @ _dt_apply(_transport_stack(qm.array, root[None]), z)
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
 
@@ -210,11 +208,7 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     result = solve_barycenter(ss, config=config)
     v_n = result.variance
     stat = float(np.sqrt(n) * (v_n - v_ref))
-    root = _psd_sqrt_stack(qr.array[None])[0]
-    lam = np.linalg.eigvalsh(np.einsum("ij,njk,kl->nil", root, ss.array, root))
-    traces = np.real(np.trace(ss.array, axis1=1, axis2=2))
-    d2 = qr.trace + traces - 2.0 * np.sqrt(np.clip(lam, 0.0, None)).sum(axis=1)
-    d2 = np.clip(d2, 0.0, None)
+    d2 = _d2_stack(qr.array, ss.array)
     mean = float(np.dot(ss.weights, d2))
     var_hat = float(np.dot(ss.weights, (d2 - mean) ** 2))
     if ddof == 1:
@@ -231,14 +225,10 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     ss = as_sample_set(samples)
     qm = as_psd(q_star, require_pd=True)
     _check_dims(qm, ss, basis)
-    roots = _psd_sqrt_stack(ss.array)
-    t, _ = _transport_stack(qm.array, roots)
+    t = ss.transport_prep(qm.array).t
     mean_t = np.einsum("n,nij->ij", ss.weights, t)
-    projected = devectorize(
-        basis, _coords_stack(basis, (mean_t - np.eye(ss.dim, dtype=t.dtype))[None])[0]
-    )
-    w, v = np.linalg.eigh(qm.array)
-    q_root = (v * np.sqrt(w)) @ np.conjugate(v.T)
+    projected = devectorize(basis, _coords(basis, mean_t - np.eye(ss.dim, dtype=t.dtype)))
+    q_root = _psd_sqrt_stack(qm.array)
     numerator = float(np.linalg.norm(q_root @ projected @ q_root))
     f_prime = estimate_f_hat(ss, qm, basis, rescaled=True)
     lam = f_prime.eigenvalues()
@@ -268,7 +258,7 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     if qs.dim != ss.dim or qn.dim != ss.dim:
         raise DimensionMismatchError("dimension mismatch")
     w, v = np.linalg.eigh(qs.array)
-    inv_root = (v / np.sqrt(w)) @ np.conjugate(v.T)
+    inv_root = _spectral(w, v, _inv_sqrt)
     q_prime = hermitian_part(inv_root @ qn.array @ inv_root)
     gap = q_prime - np.eye(ss.dim, dtype=q_prime.dtype)
     gap_op = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
@@ -279,12 +269,11 @@ def sigma_perturbation_bound(samples, q_star, q_n):
         )
     mode = ss.mode
     basis = standard_basis(ss.dim, mode=mode, kind="full")
-    roots = _psd_sqrt_stack(ss.array)
     eye = np.eye(ss.dim, dtype=ss.array.dtype)
-    t_star, _ = _transport_stack(qs.array, roots)
-    t_n, _ = _transport_stack(qn.array, roots)
-    coords_star = _coords_stack(basis, t_star - eye)
-    coords_n = _coords_stack(basis, t_n - eye)
+    t_star = _transport_stack(qs.array, ss.roots).t
+    t_n = _transport_stack(qn.array, ss.roots).t
+    coords_star = _coords(basis, t_star - eye)
+    coords_n = _coords(basis, t_n - eye)
     sigma_star = np.einsum("n,nk,nl->kl", ss.weights, coords_star, coords_star)
     sigma_n = np.einsum("n,nk,nl->kl", ss.weights, coords_n, coords_n)
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(sigma_n - sigma_star))))

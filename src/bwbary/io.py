@@ -48,6 +48,8 @@ class MatrixBundle:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (len(self.matrices),):
                 raise ValidationError("weights length does not match matrix count")
+            if not np.all(np.isfinite(w)):
+                raise ValidationError("weights must be finite")
             if np.any(w < 0):
                 raise ValidationError("weights must be nonnegative")
             total = float(w.sum())

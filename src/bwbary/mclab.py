@@ -19,8 +19,9 @@ from .exceptions import (
     NumericalError,
     ValidationError,
 )
-from .geometry import _psd_sqrt_stack, bw_distance
-from .hermitian import PsdMatrix, REAL, SubspaceBasis, hermitian_part, standard_basis
+from .geometry import _d2_stack, _psd_sqrt_stack, bw_distance
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral, hermitian_part,
+                        standard_basis)
 from .inference import estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
 
@@ -156,7 +157,7 @@ def _random_spd_stack(count: int, d: int, eig_law, rng: np.random.Generator,
         out[:, idx, idx] = lam
         return out
     u = _haar_stack(count, d, rng)
-    return hermitian_part(np.einsum("nij,nj,nkj->nik", u, lam, u))
+    return hermitian_part(_spectral(lam, u, lambda w: w))
 
 
 def random_spd(d: int, eig_law, rng: np.random.Generator,
@@ -200,13 +201,13 @@ def _replicate_draw(config: ExperimentConfig, pool: np.ndarray, n: int,
     return _draw_samples(config, n, rng)
 
 
-def _population(config: ExperimentConfig):
-    rng = derive_rng(config.seed, _DOMAIN_PROXY)
+def _population(config: ExperimentConfig, rng=None):
+    if rng is None:
+        rng = derive_rng(config.seed, _DOMAIN_PROXY)
     stack = _draw_samples(config, config.pop_proxy_size, rng)
-    ss = SampleSet(stack)
     constraint = _experiment_basis(config) if config.constraint else None
     cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
-    result = solve_barycenter(ss, constraint=constraint, config=cfg)
+    result = solve_barycenter(SampleSet(stack), constraint=constraint, config=cfg)
     return result.barycenter, result.variance, stack
 
 
@@ -216,23 +217,8 @@ def population_proxy(config: ExperimentConfig, rng=None):
     Solved to residual 1e-10 from pop_proxy_size fresh draws of the configured
     law.  An explicit rng overrides the seed-derived proxy stream.
     """
-    if rng is None:
-        q_star, v_star, _ = _population(config)
-        return q_star, v_star
-    stack = _draw_samples(config, config.pop_proxy_size, rng)
-    constraint = _experiment_basis(config) if config.constraint else None
-    cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
-    result = solve_barycenter(SampleSet(stack), constraint=constraint, config=cfg)
-    return result.barycenter, result.variance
-
-
-def _d2_stack(q: PsdMatrix, stack: np.ndarray) -> np.ndarray:
-    """Squared distances from q to every matrix in the stack."""
-    root = _psd_sqrt_stack(q.array[None])[0]
-    lam = np.linalg.eigvalsh(np.einsum("ij,njk,kl->nil", root, stack, root))
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    d2 = q.trace + traces - 2.0 * np.sqrt(np.clip(lam, 0.0, None)).sum(axis=1)
-    return np.clip(d2, 0.0, None)
+    q_star, v_star, _ = _population(config, rng)
+    return q_star, v_star
 
 
 @dataclass
@@ -309,7 +295,7 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     limit_samples = {}
     try:
         xi0 = estimate_xi_hat(sigma0, f0)
-        half = _operator_sqrt(xi0.matrix)
+        half = _psd_sqrt_stack(xi0.matrix)
         g = derive_rng(config.seed, _DOMAIN_LIMIT_FNORM).standard_normal(
             (basis.dim_m, config.limit_draws))
         limit_samples["fnorm"] = np.linalg.norm(half @ g, axis=0)
@@ -319,7 +305,7 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     except DegenerateCovarianceError:
         logger.warning("population xi is degenerate; limit samples omitted")
         xi0 = None
-    var_d2 = float(np.var(_d2_stack(q_star, proxy_stack)))
+    var_d2 = float(np.var(_d2_stack(q_star.array, proxy_stack)))
     limit_samples["variance"] = np.sqrt(var_d2) * derive_rng(
         config.seed, _DOMAIN_LIMIT_VARIANCE).standard_normal(config.limit_draws)
 
@@ -374,11 +360,6 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     )
 
 
-def _operator_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
 def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     """Error-decay study: per replicate records ||Q'_n - I||_F and the
     distance to Q*, then fits the slope of log median error against log n."""
@@ -386,8 +367,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     basis = _experiment_basis(config)
     constraint = basis if config.constraint else None
     solver_cfg = config.solver_config()
-    w, v = np.linalg.eigh(q_star.array)
-    inv_root = (v / np.sqrt(w)) @ np.conjugate(v.T)
+    inv_root = _spectral(*np.linalg.eigh(q_star.array), _inv_sqrt)
 
     def job(task):
         n, k = task

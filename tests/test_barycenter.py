@@ -17,6 +17,8 @@ from bwbary import (
     transport_map,
 )
 
+from bwbary.mclab import _random_spd_stack
+
 from helpers import rand_orthogonal, rand_spd, rand_psd_singular
 
 
@@ -39,6 +41,11 @@ class TestSampleSet:
         with pytest.raises(ValidationError):
             SampleSet([np.eye(2), np.eye(2)], weights=[1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSet([np.eye(2), 2 * np.eye(2)], weights=[bad, 0.5])
+
     def test_non_psd_member_named(self):
         with pytest.raises(ValidationError, match="sample 1"):
             SampleSet([np.eye(2), np.diag([1.0, -1.0])])
@@ -50,6 +57,18 @@ class TestSampleSet:
     def test_getitem(self):
         ss = SampleSet([np.diag([1.0, 2.0])])
         assert np.allclose(ss[0].array, np.diag([1.0, 2.0]))
+
+
+class TestVarianceWarningScale:
+    @pytest.mark.parametrize("step_rule", ["fixed-point", "projected-descent"])
+    def test_no_warning_at_any_scale(self, caplog, step_rule):
+        # the variance is in trace units; an absolute slack misfires at 1e8 and 1e12
+        stack = _random_spd_stack(50, 3, (1.0, 5.0), np.random.default_rng(0))
+        cfg = SolverConfig(step_rule=step_rule)
+        with caplog.at_level(logging.WARNING, logger="bwbary.barycenter"):
+            for scale in (1e-12, 1.0, 1e8, 1e12):
+                solve_barycenter(SampleSet(scale * stack), config=cfg)
+        assert not caplog.records
 
 
 class TestFrechetVariance:

@@ -86,6 +86,19 @@ class TestBarycenter:
         assert json.loads(out)["trace"] == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_nan_weights_bundle_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "w.mat"
+        path.write_text(
+            "BWB v1 2 real 2\n"
+            "weights: nan 0.5\n"
+            "1.0 0.0\n0.0 1.0\n"
+            "2.0 0.0\n0.0 2.0\n"
+        )
+        code, _, err = run_cli(capsys, "barycenter", path, "--out", tmp_path / "b.mat")
+        assert code == 1
+        assert "finite" in err
+
+
 class TestInfer:
     def test_reports_estimates(self, workdir, capsys):
         bary = workdir / "qn.mat"

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -30,9 +33,10 @@ from bwbary import (
     variance_clt_stats,
     vectorize,
 )
-from bwbary.inference import XI_RANK_TOL
+from bwbary.inference import F_HAT_CHUNK, XI_RANK_TOL
+from bwbary.mclab import _random_spd_stack
 
-from helpers import rand_hermitian, rand_orthogonal, rand_spd
+from helpers import rand_hermitian, rand_orthogonal, rand_spd, rand_unitary
 
 SCALAR_BASIS = SubspaceBasis(np.ones((1, 1, 1)))
 
@@ -188,6 +192,116 @@ class TestFHat:
         lo = (1.0 + gap) ** -1.5
         assert np.linalg.eigvalsh(f_hat - lo * f_star)[0] >= -1e-8
         assert np.linalg.eigvalsh(hi * f_star - f_hat)[0] >= -1e-8
+
+
+def _mixed_rank_stack(rng, n, d, complex_mode):
+    """n PSD matrices, every third one of rank d - 1, so w2 has masked pairs."""
+    lam = rng.uniform(0.5, 2.0, (n, d))
+    lam[::3, 0] = 0.0
+    u = np.stack([rand_unitary(rng, d) if complex_mode else rand_orthogonal(rng, d)
+                  for _ in range(n)])
+    mats = (u * lam[:, None, :]) @ np.conjugate(np.swapaxes(u, 1, 2))
+    return (mats + np.conjugate(np.swapaxes(mats, 1, 2))) / 2
+
+
+def _einsum_f_hat(prep, weights, elements):
+    """The four-operand einsum form of F-hat, kept as the reference."""
+    delta = np.einsum("nba,kbc,ncd->nkad", np.conjugate(prep.g), elements, prep.g)
+    return np.real(np.einsum("n,nkad,nad,nlad->kl", weights, delta, prep.w2,
+                             np.conjugate(delta)))
+
+
+class TestSharedPrep:
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("n", [F_HAT_CHUNK - 1, F_HAT_CHUNK, F_HAT_CHUNK + 1])
+    def test_chunked_gemm_matches_einsum(self, n, complex_mode):
+        rng = np.random.default_rng(n)
+        mode = "complex" if complex_mode else "real"
+        ss = SampleSet(_mixed_rank_stack(rng, n, 3, complex_mode), mode=mode)
+        q = rand_spd(rng, 3, complex_mode=complex_mode)
+        basis = standard_basis(3, mode=mode)
+        prep = ss.transport_prep(q)
+        assert np.any(prep.w2 == 0.0)
+        fast = estimate_f_hat(ss, q, basis).matrix
+        slow = _einsum_f_hat(prep, ss.weights, basis.basis)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_matches_single_pair_operators(self, complex_mode):
+        rng = np.random.default_rng(40)
+        mode = "complex" if complex_mode else "real"
+        mats = _mixed_rank_stack(rng, 7, 3, complex_mode)
+        weights = rng.uniform(0.1, 1.0, 7)
+        weights /= weights.sum()
+        ss = SampleSet(mats, weights=weights, mode=mode)
+        q = rand_spd(rng, 3, complex_mode=complex_mode)
+        basis = standard_basis(3, mode=mode)
+        f_ref = -sum(w * operator_matrix(transport_differential(q, s), basis).matrix
+                     for w, s in zip(weights, mats))
+        coords = [vectorize(basis, transport_map(q, s).matrix.array - np.eye(3))
+                  for s in mats]
+        sigma_ref = sum(w * np.outer(c, c) for w, c in zip(weights, coords))
+        assert np.allclose(estimate_f_hat(ss, q, basis).matrix, f_ref, rtol=0, atol=1e-12)
+        assert np.allclose(estimate_sigma_hat(ss, q, basis).matrix, sigma_ref,
+                           rtol=0, atol=1e-12)
+
+    def test_memo_not_reused_for_another_q(self):
+        rng = np.random.default_rng(41)
+        mats = [rand_spd(rng, 3) for _ in range(5)]
+        q1, q2 = rand_spd(rng, 3), rand_spd(rng, 3)
+        basis = standard_basis(3)
+        ss = SampleSet(mats)
+        first = ss.transport_prep(q1)
+        assert ss.transport_prep(q1.copy()) is first
+        f2 = estimate_f_hat(ss, q2, basis).matrix
+        assert ss.transport_prep(q2) is not first
+        assert np.array_equal(f2, estimate_f_hat(SampleSet(mats), q2, basis).matrix)
+        assert np.array_equal(estimate_sigma_hat(ss, q1, basis).matrix,
+                              estimate_sigma_hat(SampleSet(mats), q1, basis).matrix)
+
+    def test_memo_shared_between_threads(self):
+        # threads alternating two base points must never see the other's prep
+        rng = np.random.default_rng(43)
+        mats = [rand_spd(rng, 3) for _ in range(50)]
+        qs = [rand_spd(rng, 3), rand_spd(rng, 3)]
+        basis = standard_basis(3)
+        expected = [estimate_f_hat(SampleSet(mats), q, basis).matrix for q in qs]
+        ss = SampleSet(mats)
+
+        def work(k):
+            return all(np.array_equal(estimate_f_hat(ss, qs[(k + i) % 2], basis).matrix,
+                                      expected[(k + i) % 2]) for i in range(100))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, k) for k in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+
+    def test_replicate_decomposition_count(self, monkeypatch):
+        # SampleSet validation, three fixed-point evaluations, the roots and one
+        # shared prep for Sigma-hat and F-hat; the rest are single d x d matrices.
+        n = 1000
+        stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
+        counted = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _original=original, **kwargs):
+                counted.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        ss = SampleSet(stack)
+        q_n = solve_barycenter(ss).barycenter
+        basis = standard_basis(3)
+        estimate_sigma_hat(ss, q_n, basis)
+        estimate_f_hat(ss, q_n, basis)
+        assert sum(counted) <= 6 * n + 10
 
 
 class TestXiHat:

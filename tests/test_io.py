@@ -87,6 +87,11 @@ class TestBundleValidation:
         with pytest.raises(ValidationError, match="1.1"):
             load_bundle(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            MatrixBundle([PsdMatrix(np.eye(2)), PsdMatrix(np.eye(2))], weights=[bad, 0.5])
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.mat"
         path.write_text("BWX v9 2 real 1\n1.0 0.0\n0.0 1.0\n")
