@@ -41,11 +41,9 @@ from .geometry import (
 from .hermitian import (
     OperatorOnM,
     PsdMatrix,
-    SpectralDecomposition,
     SubspaceBasis,
     as_psd,
     devectorize,
-    eig_hermitian,
     pinv_sqrt_psd,
     project_subspace,
     sqrt_differential,
@@ -73,7 +71,6 @@ from .inference import (
 )
 from .io import (
     LocationScaleMeasure,
-    MatrixBundle,
     load_bundle,
     load_report,
     save_bundle,

@@ -17,15 +17,14 @@ from .exceptions import (
 )
 from .geometry import TransportPrep, _d2_stack, _psd_sqrt_stack, _transport_stack
 from .hermitian import (
-    COMPLEX,
     PD_REL_TOL,
     PsdMatrix,
     RANK_REL_TOL,
-    REAL,
     SubspaceBasis,
     _clipped_sqrt,
     _coords,
     _inv_sqrt,
+    _psd_stack,
     _spectral,
     as_psd,
     hermitian_part,
@@ -46,42 +45,15 @@ class SampleSet:
     __slots__ = ("array", "weights", "mode", "_strictly_positive", "_roots", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
-        if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
-            stack = matrices
-        else:
+        if not isinstance(matrices, np.ndarray):
             mats = [m.array if isinstance(m, PsdMatrix) else np.asarray(m) for m in matrices]
             if not mats:
                 raise ValidationError("sample set must contain at least one matrix")
             shapes = {m.shape for m in mats}
             if len(shapes) > 1:
                 raise DimensionMismatchError(f"mixed matrix shapes: {sorted(shapes)}")
-            stack = np.stack(mats)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatchError(f"expected (n, d, d) stack, got {stack.shape}")
-        if stack.shape[0] < 1:
-            raise ValidationError("sample set must contain at least one matrix")
-        inferred = COMPLEX if np.iscomplexobj(stack) else REAL
-        if mode is None:
-            mode = inferred
-        dtype = np.complex128 if mode == COMPLEX else np.float64
-        if mode == REAL and inferred == COMPLEX:
-            if np.max(np.abs(stack.imag)) > 1e-12 * max(1.0, float(np.abs(stack).max())):
-                raise ValidationError("complex entries in real-symmetric mode")
-            stack = stack.real
-        stack = np.ascontiguousarray(stack, dtype=dtype)
-        if not np.all(np.isfinite(stack.view(np.float64))):
-            raise ValidationError("sample set has non-finite entries")
-        gap = np.max(np.abs(stack - hermitian_part(stack)))
-        if gap > 1e-10 * max(1.0, float(np.abs(stack).max())):
-            raise ValidationError(f"sample {self._worst_herm(stack)} is not Hermitian")
-        stack = hermitian_part(stack)
-        eigs = np.linalg.eigvalsh(stack)
-        lam_max = np.maximum(eigs[:, -1], 0.0)
-        bad = np.nonzero(eigs[:, 0] < -1e-10 * np.maximum(1.0, lam_max))[0]
-        if bad.size:
-            raise ValidationError(
-                f"sample {bad[0]} is not PSD (lambda_min = {eigs[bad[0], 0]:.3e})"
-            )
+            matrices = np.stack(mats)
+        stack, mode, eigs = _psd_stack(matrices, mode)
         n = stack.shape[0]
         if weights is None:
             w = np.full(n, 1.0 / n)
@@ -93,22 +65,19 @@ class SampleSet:
                 raise ValidationError("weights must be finite")
             if np.any(w < 0):
                 raise ValidationError("weights must be nonnegative")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValidationError(f"weights sum to {w.sum()!r}, expected 1")
+            total = float(w.sum())
+            if abs(total - 1.0) > 1e-12:
+                raise ValidationError(f"weights sum to {total!r}, expected 1")
         stack.setflags(write=False)
         w.setflags(write=False)
         self.array = stack
         self.weights = w
         self.mode = mode
+        lam_max = np.maximum(eigs[:, -1], 0.0)
         pd = eigs[:, 0] > PD_REL_TOL * lam_max
         self._strictly_positive = bool(np.any(pd & (w > 0)))
         self._roots = None
         self._prep = None
-
-    @staticmethod
-    def _worst_herm(stack):
-        gaps = np.abs(stack - hermitian_part(stack)).reshape(stack.shape[0], -1).max(axis=1)
-        return int(np.argmax(gaps))
 
     @property
     def dim(self) -> int:

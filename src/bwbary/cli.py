@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bwio
-from .barycenter import SolverConfig, solve_barycenter
+from .barycenter import SampleSet, SolverConfig, solve_barycenter
 from .exceptions import BwError, NumericalError, ParseError, ValidationError
 from .geometry import bw_distance_sq, transport_map
 from .hermitian import standard_basis
@@ -27,7 +27,7 @@ from .inference import (
     eta_n_diagnostic,
     frechet_variance,
 )
-from .io import LocationScaleMeasure, MatrixBundle, load_bundle, save_bundle
+from .io import LocationScaleMeasure, load_bundle, save_bundle
 from .mclab import ExperimentConfig, run_clt_experiment, run_concentration_experiment
 
 
@@ -35,7 +35,7 @@ def _load_single(path):
     bundle = load_bundle(path)
     if len(bundle) != 1:
         raise ValidationError(f"{path}: expected a single-matrix bundle, got {len(bundle)}")
-    return bundle.matrices[0]
+    return bundle[0]
 
 
 def _load_vector(path):
@@ -68,7 +68,7 @@ def _cmd_map(args) -> None:
     q = _load_single(args.q)
     s = _load_single(args.s)
     t = transport_map(q, s)
-    save_bundle(MatrixBundle([t.matrix], mode=t.matrix.mode), args.out)
+    save_bundle(SampleSet([t.matrix]), args.out)
     _emit({"out": str(args.out), "push_forward_residual": t.push_forward_error()})
 
 
@@ -82,13 +82,12 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _cmd_barycenter(args) -> None:
-    bundle = load_bundle(args.bundle)
-    samples = bundle.to_sample_set()
+    samples = load_bundle(args.bundle)
     constraint = None
     if args.constraint == "trace1":
-        constraint = standard_basis(bundle.dim, mode=bundle.mode, kind="traceless")
+        constraint = standard_basis(samples.dim, mode=samples.mode, kind="traceless")
     result = solve_barycenter(samples, constraint=constraint, config=_solver_config(args))
-    save_bundle(MatrixBundle([result.barycenter], mode=bundle.mode), args.out)
+    save_bundle(SampleSet([result.barycenter]), args.out)
     _emit({
         "out": str(args.out),
         "iterations": result.iterations,
@@ -99,11 +98,11 @@ def _cmd_barycenter(args) -> None:
 
 
 def _cmd_infer(args) -> None:
-    bundle = load_bundle(args.bundle)
+    samples = load_bundle(args.bundle)
     q_star = _load_single(args.qstar)
-    basis = standard_basis(bundle.dim, mode=bundle.mode, kind=args.basis)
-    samples = bundle.to_sample_set()
-    report = clt_report(samples, q_star, basis)
+    basis = standard_basis(samples.dim, mode=samples.mode, kind=args.basis)
+    v_star = frechet_variance(q_star, samples)
+    report = clt_report(samples, q_star, basis, v_ref=v_star)
     eta, bound = eta_n_diagnostic(samples, q_star, basis)
     _emit({
         "n": report.n,
@@ -113,7 +112,7 @@ def _cmd_infer(args) -> None:
         "studentized": report.studentized.tolist(),
         "dbw_stat": report.dbw_stat,
         "variance_stat": report.variance_stat,
-        "variance_at_qstar": frechet_variance(q_star, samples),
+        "variance_at_qstar": v_star,
         "eta": eta,
         "eta_bound": bound,
     })

@@ -10,7 +10,16 @@ class BwError(Exception):
 
 
 class ValidationError(BwError):
-    """Invalid input: wrong shapes, broken invariants, malformed files."""
+    """Invalid input: wrong shapes, broken invariants, malformed files.
+
+    A check over a stack of samples names the first failing one by its
+    position `index`; `reason` is the message without that location.
+    """
+
+    def __init__(self, reason, index=None):
+        super().__init__(reason if index is None else f"sample {index}: {reason}")
+        self.reason = reason
+        self.index = index
 
 
 class NotHermitianError(ValidationError):

@@ -1,14 +1,14 @@
 """Hermitian matrix primitives.
 
-Spectral decompositions with a deterministic sign convention, PSD square
-roots and pseudo-inverse roots, the differential of the matrix square root,
-and orthonormal bases / projections for subspaces of Hermitian matrices.
+The input policy for PSD matrices (one batched gate shared by `PsdMatrix`
+and `SampleSet`), PSD square roots and pseudo-inverse roots, the differential
+of the matrix square root, and orthonormal bases / projections for subspaces
+of Hermitian matrices.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,9 @@ logger = logging.getLogger(__name__)
 REAL = "real"
 COMPLEX = "complex"
 
-# Relative tolerances (see module docs): eps_psd = PSD_REL_TOL * max(1, lam_max)
-# gates PSD validation, eps_pd = PD_REL_TOL * lam_max gates strict positivity.
+# Relative tolerances, per matrix: ||A - A_h||_F <= HERMITIAN_REL_TOL ||A||_F
+# and lambda_min >= -PSD_REL_TOL lambda_max gate the input; lambda_min >
+# PD_REL_TOL lambda_max is strict positivity.
 PSD_REL_TOL = 1e-10
 PD_REL_TOL = 1e-12
 HERMITIAN_REL_TOL = 1e-10
@@ -67,63 +68,95 @@ def _pinv_sqrt(w: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
-def _as_square_array(value, name="matrix"):
-    arr = np.asarray(value)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return arr
+def _parts(stack: np.ndarray) -> np.ndarray:
+    """The real (and imaginary) parts of each matrix of a contiguous stack, as rows."""
+    return stack.view(np.float64).reshape(len(stack), -1)
 
 
-def _check_hermitian(arr: np.ndarray, name="matrix") -> np.ndarray:
-    """Validate Hermitian symmetry and return the exactly symmetrized matrix."""
-    herm = hermitian_part(arr)
-    gap = np.linalg.norm(arr - herm)
-    if gap > HERMITIAN_REL_TOL * np.linalg.norm(arr):
-        raise NotHermitianError(
-            f"{name} is not Hermitian: asymmetry {gap:.3e} exceeds tolerance"
-        )
-    return herm
+def _reject(bad: np.ndarray, error, reason: str, *values) -> None:
+    """Raise error for the first matrix flagged in bad, with reason formatted
+    from its entries of values; the index is kept when the stack has several."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(reason.format(*(v[i] for v in values)),
+                    index=i if bad.size > 1 else None)
+
+
+def _hermitian_stack(stack, mode=None):
+    """The input policy up to symmetry, for an (n, d, d) stack.
+
+    Infers the mode from the dtype, rejects non-finite entries and imaginary
+    parts in real mode, and gates each matrix by ||A - A_h||_F <=
+    HERMITIAN_REL_TOL ||A||_F.  Returns (the stack of A_h = (A + A^*)/2, mode).
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
+        raise DimensionMismatchError(f"expected a nonempty (n, d, d) stack, got {stack.shape}")
+    inferred = COMPLEX if np.iscomplexobj(stack) else REAL
+    if mode is None:
+        mode = inferred
+    if mode not in (REAL, COMPLEX):
+        raise ValidationError(f"unknown mode {mode!r}")
+    stack = np.ascontiguousarray(stack, dtype=np.complex128 if inferred == COMPLEX else np.float64)
+    # Norms are taken in units of each matrix's largest real or imaginary
+    # part, where they cannot overflow; a nonzero matrix then has norm >= 1.
+    unit = np.abs(_parts(stack)).max(axis=1)
+    _reject(~np.isfinite(unit), ValidationError, "matrix has non-finite entries")
+    unit[unit == 0] = 1.0
+    norm = np.maximum(np.linalg.norm(_parts(stack) / unit[:, None], axis=1), 1.0)
+    if mode == REAL and inferred == COMPLEX:
+        imag = np.abs(stack.imag).max(axis=(1, 2)) / unit / norm
+        _reject(imag > HERMITIAN_REL_TOL, ValidationError,
+                "complex entries in real-symmetric mode")
+        stack = stack.real
+    stack = np.ascontiguousarray(stack, dtype=np.complex128 if mode == COMPLEX else np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = hermitian_part(stack)
+    if not np.isfinite(herm).all():
+        # A + A^* overflowed; at that scale halving first is exact.
+        herm = np.where(np.isfinite(herm), herm, stack / 2 + _adjoint(stack) / 2)
+    gap = np.linalg.norm(_parts(stack - herm) / unit[:, None], axis=1) / norm
+    _reject(gap > HERMITIAN_REL_TOL, NotHermitianError,
+            "matrix is not Hermitian: ||A - A_h||_F / ||A||_F = {:.3e}", gap)
+    return herm, mode
+
+
+def _psd_stack(stack, mode=None):
+    """The input policy for PSD matrices: `_hermitian_stack`, then the spectrum
+    gate lambda_min >= -PSD_REL_TOL lambda_max on each matrix.
+
+    Returns (the Hermitian stack, mode, its ascending eigenvalues).
+    """
+    herm, mode = _hermitian_stack(stack, mode)
+    eigs = np.linalg.eigvalsh(herm)
+    eps = PSD_REL_TOL * np.maximum(eigs[:, -1], 0.0)
+    _reject(eigs[:, 0] < -eps, NotPsdError,
+            "matrix is not PSD: lambda_min = {:.6e} < -{:.3e}", eigs[:, 0], eps)
+    return herm, mode, eigs
 
 
 class PsdMatrix:
     """A d x d Hermitian positive semi-definite matrix.
 
-    The stored array is exactly Hermitian (inputs are symmetrized after a
-    tolerance check) and the spectrum is certified to lie above -eps_psd with
-    eps_psd = PSD_REL_TOL * max(1, lam_max).  Instances are immutable and safe
-    to share between threads.
+    The stored array is exactly Hermitian and its spectrum lies above
+    -PSD_REL_TOL lambda_max: the input passes the same batched gate as a
+    `SampleSet`, as a stack of one.  Instances are immutable and safe to share
+    between threads.
     """
 
     __slots__ = ("array", "mode")
 
     def __init__(self, array, mode=None, require_pd=False):
-        arr = _as_square_array(array)
-        inferred = COMPLEX if np.iscomplexobj(arr) else REAL
-        if mode is None:
-            mode = inferred
-        if mode not in (REAL, COMPLEX):
-            raise ValidationError(f"unknown mode {mode!r}")
-        if mode == REAL and inferred == COMPLEX:
-            scale = max(1.0, float(np.linalg.norm(arr)))
-            if np.max(np.abs(arr.imag)) > HERMITIAN_REL_TOL * scale:
-                raise ValidationError("complex entries in real-symmetric mode")
-            arr = arr.real
-        dtype = np.complex128 if mode == COMPLEX else np.float64
-        arr = np.array(arr, dtype=dtype)
-        herm = _check_hermitian(arr)
-        w = np.linalg.eigvalsh(herm)
-        lam_max = max(float(w[-1]), 0.0)
-        eps_psd = PSD_REL_TOL * max(1.0, lam_max)
-        if w[0] < -eps_psd:
-            raise NotPsdError(
-                f"matrix is not PSD: lambda_min = {w[0]:.6e} < -{eps_psd:.3e}"
-            )
-        if require_pd and not w[0] > PD_REL_TOL * lam_max:
+        arr = np.asarray(array)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionMismatchError(f"matrix must be square, got shape {arr.shape}")
+        stack, mode, eigs = _psd_stack(arr[None], mode)
+        w = eigs[0]
+        if require_pd and not w[0] > PD_REL_TOL * max(float(w[-1]), 0.0):
             raise SingularMatrixError(
                 f"matrix is not strictly positive: lambda_min = {w[0]:.6e}"
             )
+        herm = stack[0]
         herm.setflags(write=False)
         self.array = herm
         self.mode = mode
@@ -161,41 +194,9 @@ def as_psd(value, mode=None, require_pd=False) -> PsdMatrix:
     return PsdMatrix(value, mode=mode, require_pd=require_pd)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition A = U* diag(lam) U with rows of U the eigenvectors.
-
-    Eigenvalues are sorted descending; each eigenvector's first nonzero
-    coordinate is made real-positive so the decomposition is reproducible.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return np.conjugate(u.T) @ (self.eigenvalues[:, None] * u)
-
-
-def _fix_phases(u: np.ndarray) -> np.ndarray:
-    """Make the first coordinate with modulus > 1e-12 of each row real-positive."""
-    idx = (np.abs(u) > 1e-12).argmax(axis=1)
-    pivots = u[np.arange(u.shape[0]), idx]
-    phases = pivots / np.abs(pivots)
-    return u * np.conjugate(phases)[:, None]
-
-
-def eig_hermitian(a) -> SpectralDecomposition:
-    """Sorted, sign-fixed eigendecomposition of a Hermitian matrix."""
-    arr = a.array if isinstance(a, PsdMatrix) else _as_square_array(a)
-    herm = _check_hermitian(arr)
-    w, v = np.linalg.eigh(herm)
-    u = np.conjugate(v.T)[::-1]
-    return SpectralDecomposition(w[::-1].copy(), _fix_phases(u))
-
-
 def _clamped_spectrum(a: PsdMatrix):
-    """Ascending eigenvalues with [-eps_psd, 0) clamped to 0, plus eigenvectors."""
+    """Ascending eigenvalues, the negative ones the gate let through clamped to
+    0, plus eigenvectors."""
     w, v = np.linalg.eigh(a.array)
     clamped = np.count_nonzero(w < 0)
     if clamped:
@@ -227,9 +228,10 @@ def sqrt_differential(q, x) -> np.ndarray:
     sqrt(q_i) + sqrt(q_j).
     """
     mat = as_psd(q, require_pd=True)
-    arr = _check_hermitian(_as_square_array(x, name="X"))
+    arr = np.asarray(x)
     if arr.shape != mat.array.shape:
         raise DimensionMismatchError("X must match the dimension of Q")
+    arr = _hermitian_stack(arr[None])[0][0]
     w, v = np.linalg.eigh(mat.array)
     roots = np.sqrt(w)
     inner = np.conjugate(v.T) @ arr @ v

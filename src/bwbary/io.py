@@ -1,5 +1,6 @@
-"""File formats and dataset wrappers: the text/binary matrix bundle, the
-scale-location measure layer, and schema-validated simulation reports."""
+"""File formats and dataset wrappers: the text/binary matrix bundle (read and
+written as a `SampleSet`), the scale-location measure layer, and
+schema-validated simulation reports."""
 
 from __future__ import annotations
 
@@ -14,11 +15,7 @@ import numpy as np
 import jsonschema
 
 from .barycenter import SampleSet, SolverConfig, solve_barycenter
-from .exceptions import (
-    DimensionMismatchError,
-    ParseError,
-    ValidationError,
-)
+from .exceptions import DimensionMismatchError, ParseError, ValidationError
 from .geometry import bw_distance_sq
 from .hermitian import COMPLEX, PsdMatrix, REAL, as_psd
 
@@ -27,52 +24,10 @@ BINARY_MAGIC = b"BWBB v1\n"
 SCHEMA_NAME = "report_schema_v1"
 
 
-@dataclass
-class MatrixBundle:
-    """A validated collection of PSD matrices with optional weights."""
-
-    matrices: list
-    weights: np.ndarray | None = None
-    mode: str = REAL
-
-    def __post_init__(self):
-        if not self.matrices:
-            raise ValidationError("bundle must contain at least one matrix")
-        dims = {m.dim for m in self.matrices}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"mixed dimensions in bundle: {sorted(dims)}")
-        modes = {m.mode for m in self.matrices}
-        if modes != {self.mode}:
-            raise ValidationError(f"bundle mode {self.mode!r} does not match matrices")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (len(self.matrices),):
-                raise ValidationError("weights length does not match matrix count")
-            if not np.all(np.isfinite(w)):
-                raise ValidationError("weights must be finite")
-            if np.any(w < 0):
-                raise ValidationError("weights must be nonnegative")
-            total = float(w.sum())
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"weights sum to {total!r}, expected 1")
-            self.weights = w
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].dim
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def to_sample_set(self) -> SampleSet:
-        return SampleSet([m.array for m in self.matrices], weights=self.weights,
-                         mode=self.mode)
-
-
 def _format_scalar(value, mode: str) -> str:
     if mode == COMPLEX:
         re, im = float(np.real(value)), float(np.imag(value))
-        sign = "+" if im >= 0 else "-"
+        sign = "-" if np.signbit(im) else "+"
         return f"{re!r}{sign}{abs(im)!r}i"
     return repr(float(np.real(value)))
 
@@ -96,58 +51,52 @@ def _parse_scalar(token: str, mode: str, path, line):
         raise ParseError(f"bad entry {token!r}: {exc}", path=path, line=line) from exc
 
 
-def save_bundle(bundle: MatrixBundle, path, binary: bool = False) -> None:
-    """Write a bundle; text by default, little-endian binary with binary=True."""
-    path = Path(path)
+def save_bundle(samples: SampleSet, path, binary: bool = False) -> None:
+    """Write a sample set; text by default, little-endian binary with
+    binary=True.  Uniform weights, exactly full(n, 1/n), are not written."""
+    n, d = len(samples), samples.dim
+    weights = samples.weights
+    if np.array_equal(weights, np.full(n, 1.0 / n)):
+        weights = None
     if binary:
-        _save_binary(bundle, path)
+        mode_flag = 1 if samples.mode == COMPLEX else 0
+        flags = 1 if weights is not None else 0
+        chunks = [BINARY_MAGIC + struct.pack("<IBBQ", d, mode_flag, flags, n)]
+        if weights is not None:
+            chunks.append(weights.astype("<f8").tobytes())
+        dtype = "<c16" if samples.mode == COMPLEX else "<f8"
+        chunks.append(samples.array.astype(dtype).tobytes())
+        Path(path).write_bytes(b"".join(chunks))
         return
-    d, n = bundle.dim, len(bundle)
-    lines = [f"{TEXT_MAGIC} {d} {bundle.mode} {n}"]
-    if bundle.weights is not None:
-        lines.append("weights: " + " ".join(repr(float(w)) for w in bundle.weights))
-    for mat in bundle.matrices:
-        for row in mat.array:
-            lines.append(" ".join(_format_scalar(v, bundle.mode) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"{TEXT_MAGIC} {d} {samples.mode} {n}"]
+    if weights is not None:
+        lines.append("weights: " + " ".join(repr(float(w)) for w in weights))
+    for row in samples.array.reshape(n * d, d):
+        lines.append(" ".join(_format_scalar(v, samples.mode) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _save_binary(bundle: MatrixBundle, path: Path) -> None:
-    d, n = bundle.dim, len(bundle)
-    mode_flag = 1 if bundle.mode == COMPLEX else 0
-    flags = 1 if bundle.weights is not None else 0
-    header = BINARY_MAGIC + struct.pack("<IBBQ", d, mode_flag, flags, n)
-    chunks = [header]
-    if bundle.weights is not None:
-        chunks.append(np.asarray(bundle.weights, dtype="<f8").tobytes())
-    dtype = "<c16" if bundle.mode == COMPLEX else "<f8"
-    stack = np.stack([m.array for m in bundle.matrices]).astype(dtype)
-    chunks.append(stack.tobytes())
-    path.write_bytes(b"".join(chunks))
-
-
-def load_bundle(path) -> MatrixBundle:
-    """Read a bundle, dispatching on the text/binary magic; every matrix is
-    re-validated (Hermitian symmetry, PSD spectrum) on load."""
+def load_bundle(path) -> SampleSet:
+    """Read a bundle as a SampleSet, dispatching on the text/binary magic; every
+    matrix passes the sample-set gate (Hermitian symmetry, PSD spectrum)."""
     path = Path(path)
     raw = path.read_bytes()
     if raw.startswith(BINARY_MAGIC):
-        return _load_binary(raw, path)
+        stack, weights, mode = _parse_binary(raw, path)
+    else:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
+        stack, weights, mode = _parse_text(text, path)
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=path) from exc
-    return _load_text(text, path)
-
-
-def _wrap_matrix(arr, mode, index, path):
-    try:
-        return PsdMatrix(arr, mode=mode)
+        return SampleSet(stack, weights=weights, mode=mode)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: matrix {index}: {exc}") from exc
+        where = "" if exc.index is None else f"matrix {exc.index}: "
+        raise type(exc)(f"{path}: {where}{exc.reason}") from exc
 
 
-def _load_text(text: str, path: Path) -> MatrixBundle:
+def _parse_text(text: str, path: Path):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", path=path, line=1)
@@ -176,10 +125,8 @@ def _load_text(text: str, path: Path) -> MatrixBundle:
         except ValueError as exc:
             raise ParseError(f"bad weight: {exc}", path=path, line=idx + 1) from exc
         idx += 1
-    dtype = np.complex128 if mode == COMPLEX else np.float64
-    matrices = []
+    rows = []
     for i in range(n):
-        rows = []
         for _ in range(d):
             if idx >= len(lines):
                 raise ParseError(f"unexpected end of file in matrix {i}",
@@ -190,20 +137,26 @@ def _load_text(text: str, path: Path) -> MatrixBundle:
                                  path=path, line=idx + 1)
             rows.append([_parse_scalar(t, mode, path, idx + 1) for t in tokens])
             idx += 1
-        matrices.append(_wrap_matrix(np.array(rows, dtype=dtype), mode, i, path))
     for lineno, line in enumerate(lines[idx:], start=idx + 1):
         if line.strip():
             raise ParseError("trailing content after payload", path=path, line=lineno)
-    return MatrixBundle(matrices, weights=weights, mode=mode)
+    dtype = np.complex128 if mode == COMPLEX else np.float64
+    return np.array(rows, dtype=dtype).reshape(n, d, d), weights, mode
 
 
-def _load_binary(raw: bytes, path: Path) -> MatrixBundle:
+def _parse_binary(raw: bytes, path: Path):
     offset = len(BINARY_MAGIC)
     try:
         d, mode_flag, flags, n = struct.unpack_from("<IBBQ", raw, offset)
     except struct.error as exc:
         raise ParseError(f"truncated binary header: {exc}", path=path) from exc
     offset += struct.calcsize("<IBBQ")
+    if d < 1 or n < 1:
+        raise ParseError(f"bad dimensions d={d}, n={n}", path=path)
+    if mode_flag not in (0, 1):
+        raise ParseError(f"unknown mode flag {mode_flag}", path=path)
+    if flags & ~1:
+        raise ParseError(f"unknown flag bits {flags:#04x}", path=path)
     mode = COMPLEX if mode_flag else REAL
     weights = None
     if flags & 1:
@@ -212,15 +165,15 @@ def _load_binary(raw: bytes, path: Path) -> MatrixBundle:
             raise ParseError("truncated weights block", path=path)
         weights = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy()
         offset += need
-    itemsize = 16 if mode == COMPLEX else 8
-    need = itemsize * n * d * d
+    dtype = "<c16" if mode == COMPLEX else "<f8"
+    need = np.dtype(dtype).itemsize * n * d * d
     if len(raw) < offset + need:
         raise ParseError("truncated payload", path=path)
-    dtype = "<c16" if mode == COMPLEX else "<f8"
+    if len(raw) > offset + need:
+        raise ParseError(f"{len(raw) - offset - need} trailing bytes after payload",
+                         path=path)
     stack = np.frombuffer(raw, dtype=dtype, count=n * d * d, offset=offset)
-    stack = stack.reshape(n, d, d)
-    matrices = [_wrap_matrix(stack[i], mode, i, path) for i in range(n)]
-    return MatrixBundle(matrices, weights=weights, mode=mode)
+    return stack.reshape(n, d, d), weights, mode
 
 
 @dataclass

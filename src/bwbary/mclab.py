@@ -207,8 +207,9 @@ def _population(config: ExperimentConfig, rng=None):
     stack = _draw_samples(config, config.pop_proxy_size, rng)
     constraint = _experiment_basis(config) if config.constraint else None
     cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
-    result = solve_barycenter(SampleSet(stack), constraint=constraint, config=cfg)
-    return result.barycenter, result.variance, stack
+    pool = SampleSet(stack)
+    result = solve_barycenter(pool, constraint=constraint, config=cfg)
+    return result.barycenter, result.variance, pool
 
 
 def population_proxy(config: ExperimentConfig, rng=None):
@@ -285,13 +286,12 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     KS distances against the limiting laws are attached.  Deterministic for a
     fixed config, independent of BWB_THREADS.
     """
-    q_star, v_star, proxy_stack = _population(config)
+    q_star, v_star, pool = _population(config)
     basis = _experiment_basis(config)
     constraint = basis if config.constraint else None
     solver_cfg = config.solver_config()
-    proxy_ss = SampleSet(proxy_stack)
-    sigma0 = estimate_sigma_hat(proxy_ss, q_star, basis)
-    f0 = estimate_f_hat(proxy_ss, q_star, basis)
+    sigma0 = estimate_sigma_hat(pool, q_star, basis)
+    f0 = estimate_f_hat(pool, q_star, basis)
     limit_samples = {}
     try:
         xi0 = estimate_xi_hat(sigma0, f0)
@@ -305,14 +305,14 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     except DegenerateCovarianceError:
         logger.warning("population xi is degenerate; limit samples omitted")
         xi0 = None
-    var_d2 = float(np.var(_d2_stack(q_star.array, proxy_stack)))
+    var_d2 = float(np.var(_d2_stack(q_star.array, pool.array)))
     limit_samples["variance"] = np.sqrt(var_d2) * derive_rng(
         config.seed, _DOMAIN_LIMIT_VARIANCE).standard_normal(config.limit_draws)
 
     def job(task):
         n, k = task
         rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
-        stack = _replicate_draw(config, proxy_stack, n, rng)
+        stack = _replicate_draw(config, pool.array, n, rng)
         ss = SampleSet(stack)
         try:
             result = solve_barycenter(ss, constraint=constraint, config=solver_cfg)
@@ -363,7 +363,7 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
 def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     """Error-decay study: per replicate records ||Q'_n - I||_F and the
     distance to Q*, then fits the slope of log median error against log n."""
-    q_star, v_star, proxy_stack = _population(config)
+    q_star, v_star, pool = _population(config)
     basis = _experiment_basis(config)
     constraint = basis if config.constraint else None
     solver_cfg = config.solver_config()
@@ -372,7 +372,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     def job(task):
         n, k = task
         rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
-        stack = _replicate_draw(config, proxy_stack, n, rng)
+        stack = _replicate_draw(config, pool.array, n, rng)
         try:
             result = solve_barycenter(SampleSet(stack), constraint=constraint,
                                       config=solver_cfg)

@@ -235,7 +235,7 @@ def test_criterion_9_variance_clt(clt_run):
     stats = np.array([r["variance"] for r in block["replicates"]])
     var_stat = float(np.var(stats))
     # fresh Monte Carlo of var d^2(Q*, S): 20000 new draws of the sampled law
-    _, _, pool = _population(cfg)
+    pool = _population(cfg)[2].array
     q_star = np.array(report.q_star)
     idx = derive_rng(ACCEPT_SEED, 200).integers(0, pool.shape[0], size=20000)
     fresh = pool[idx]

@@ -6,6 +6,7 @@ import pytest
 from bwbary import (
     ConvergenceError,
     DegenerateInputError,
+    NotHermitianError,
     SampleSet,
     SolverConfig,
     ValidationError,
@@ -49,6 +50,14 @@ class TestSampleSet:
     def test_non_psd_member_named(self):
         with pytest.raises(ValidationError, match="sample 1"):
             SampleSet([np.eye(2), np.diag([1.0, -1.0])])
+
+    @pytest.mark.parametrize("first, second", [
+        (np.eye(2), [[1e-12, 1e-12], [0.0, 1e-12]]),  # 50% asymmetric below unit scale
+        (1e6 * np.eye(2), [[1.0, 1e-5], [0.0, 1.0]]),  # beside a large sample
+    ])
+    def test_asymmetry_gated_per_sample(self, first, second):
+        with pytest.raises(NotHermitianError, match="sample 1"):
+            SampleSet([first, second])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from bwbary import MatrixBundle, PsdMatrix, bw_distance_sq, load_bundle, save_bundle
+from bwbary import (
+    PsdMatrix,
+    SampleSet,
+    bw_distance_sq,
+    frechet_variance,
+    load_bundle,
+    save_bundle,
+)
 from bwbary.cli import main
 
 from helpers import rand_spd
@@ -12,10 +19,10 @@ from helpers import rand_spd
 @pytest.fixture
 def workdir(tmp_path):
     rng = np.random.default_rng(0)
-    save_bundle(MatrixBundle([PsdMatrix(np.diag([1.0, 4.0]))]), tmp_path / "q.mat")
-    save_bundle(MatrixBundle([PsdMatrix(np.diag([4.0, 9.0]))]), tmp_path / "s.mat")
+    save_bundle(SampleSet([PsdMatrix(np.diag([1.0, 4.0]))]), tmp_path / "q.mat")
+    save_bundle(SampleSet([PsdMatrix(np.diag([4.0, 9.0]))]), tmp_path / "s.mat")
     save_bundle(
-        MatrixBundle([PsdMatrix(rand_spd(rng, 2, 1.0, 3.0)) for _ in range(12)]),
+        SampleSet([PsdMatrix(rand_spd(rng, 2, 1.0, 3.0)) for _ in range(12)]),
         tmp_path / "rich.mat",
     )
     (tmp_path / "ma.txt").write_text("0 0\n")
@@ -61,7 +68,7 @@ class TestMap:
         assert code == 0
         payload = json.loads(out)
         assert payload["push_forward_residual"] <= 1e-10
-        t = load_bundle(out_path).matrices[0].array
+        t = load_bundle(out_path)[0].array
         assert np.allclose(t, np.diag([2.0, 1.5]))
 
 
@@ -72,13 +79,13 @@ class TestBarycenter:
         assert code == 0
         payload = json.loads(out)
         assert payload["residual"] <= 1e-12
-        assert np.array_equal(load_bundle(out_path).matrices[0].array, np.diag([1.0, 4.0]))
+        assert np.array_equal(load_bundle(out_path)[0].array, np.diag([1.0, 4.0]))
 
     def test_trace1_constraint(self, workdir, capsys, tmp_path):
         rng = np.random.default_rng(1)
         mats = np.stack([rand_spd(rng, 2, 1.0, 3.0) for _ in range(5)])
         mats /= np.trace(mats, axis1=1, axis2=2)[:, None, None]
-        save_bundle(MatrixBundle([PsdMatrix(m) for m in mats]), tmp_path / "dens.mat")
+        save_bundle(SampleSet([PsdMatrix(m) for m in mats]), tmp_path / "dens.mat")
         out_path = tmp_path / "rho.mat"
         code, out, _ = run_cli(capsys, "barycenter", tmp_path / "dens.mat",
                                "--constraint", "trace1", "--out", out_path)
@@ -99,6 +106,38 @@ class TestBarycenter:
         assert "finite" in err
 
 
+
+class TestBundleFuzz:
+    """Every truncation and header-byte overwrite of a small bundle ends in
+    exit code 0 or 1, never in an uncaught exception."""
+
+    @staticmethod
+    def mutants(raw, header_len):
+        for cut in range(len(raw)):
+            yield raw[:cut]
+        for pos in range(header_len):
+            for byte in (0x00, 0x01, 0x07, 0x30, 0x7F, 0x80, 0xFF, raw[pos] ^ 0x01):
+                yield raw[:pos] + bytes([byte]) + raw[pos + 1:]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_barycenter_exits_0_or_1(self, tmp_path, capsys, binary):
+        source = tmp_path / "source.mat"
+        samples = SampleSet([np.diag([1.0, 4.0]), [[4.0, 1.0], [1.0, 9.0]]],
+                            weights=[0.25, 0.75])
+        save_bundle(samples, source, binary=binary)
+        raw = source.read_bytes()
+        header_len = 8 + 14 if binary else raw.index(b"\n") + 1
+        path, out = tmp_path / "fuzz.mat", tmp_path / "out.mat"
+        codes = set()
+        for mutant in self.mutants(raw, header_len):
+            path.write_bytes(mutant)
+            code = main(["barycenter", str(path), "--out", str(out)])
+            assert code in (0, 1), mutant
+            codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 1}
+
+
 class TestInfer:
     def test_reports_estimates(self, workdir, capsys):
         bary = workdir / "qn.mat"
@@ -111,10 +150,24 @@ class TestInfer:
         assert all(v > 0 for v in payload["f_eigenvalues"])
         assert payload["eta"] == pytest.approx(0.0, abs=1e-8)
 
+    def test_variance_at_qstar_computed_once(self, workdir, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return frechet_variance(*args, **kwargs)
+
+        monkeypatch.setattr("bwbary.cli.frechet_variance", counting)
+        monkeypatch.setattr("bwbary.inference.frechet_variance", counting)
+        code, out, _ = run_cli(capsys, "infer", workdir / "rich.mat", "--qstar",
+                               workdir / "q.mat")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_degenerate_xi_is_exit_2(self, workdir, capsys, tmp_path):
         # two commuting samples cannot fill a 3-dimensional coordinate space
         save_bundle(
-            MatrixBundle([PsdMatrix(np.diag([1.0, 4.0])), PsdMatrix(np.diag([4.0, 9.0]))]),
+            SampleSet([PsdMatrix(np.diag([1.0, 4.0])), PsdMatrix(np.diag([4.0, 9.0]))]),
             tmp_path / "thin.mat",
         )
         bary = tmp_path / "qn.mat"

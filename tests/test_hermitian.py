@@ -6,11 +6,11 @@ from bwbary import (
     NotHermitianError,
     NotPsdError,
     PsdMatrix,
+    SampleSet,
     SingularMatrixError,
     SubspaceBasis,
     ValidationError,
     devectorize,
-    eig_hermitian,
     pinv_sqrt_psd,
     project_subspace,
     sqrt_differential,
@@ -21,7 +21,7 @@ from bwbary import (
 )
 from bwbary.hermitian import OperatorOnM, frobenius_inner
 
-from helpers import rand_hermitian, rand_spd, rand_unitary
+from helpers import rand_hermitian, rand_psd_singular, rand_spd, rand_unitary
 
 
 class TestPsdMatrix:
@@ -34,6 +34,26 @@ class TestPsdMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsdError):
             PsdMatrix(np.diag([1.0, -1e-3]))
+
+    def test_rejects_negative_below_unit_scale(self):
+        # the PSD tolerance is relative: -5e-11 is 50 lambda_max here
+        bad = np.diag([1e-12, 1e-12, -5e-11])
+        with pytest.raises(NotPsdError):
+            PsdMatrix(bad)
+        with pytest.raises(NotPsdError, match="sample 1"):
+            SampleSet([np.eye(3), bad])
+
+    @pytest.mark.parametrize("scale", np.logspace(-12, 12, 7))
+    def test_psd_gate_scale_free(self, scale):
+        rng = np.random.default_rng(7)
+        stack = scale * np.stack([
+            rand_spd(rng, 3), rand_psd_singular(rng, 3, 2), np.diag([1.0, 0.0, 0.0])
+        ])
+        assert len(SampleSet(stack)) == 3
+        for mat in stack:
+            PsdMatrix(mat)
+        with pytest.raises(NotPsdError):
+            PsdMatrix(scale * np.diag([1.0, 1.0, -1e-8]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotHermitianError):
@@ -64,66 +84,12 @@ class TestPsdMatrix:
             m.array[0, 0] = 5.0
 
 
-class TestEig:
-    def test_diagonal(self):
-        dec = eig_hermitian(np.diag([3.0, 1.0]))
-        assert np.allclose(dec.eigenvalues, [3.0, 1.0])
-        assert np.allclose(dec.eigenvectors, np.eye(2))
-
-    def test_2x2_hand_solved(self):
-        # characteristic polynomial of [[2,1],[1,2]]: l^2 - 4l + 3 = 0
-        roots = np.sort(np.roots([1.0, -4.0, 3.0]))[::-1]
-        dec = eig_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(dec.eigenvalues, roots)
-        s = 1 / np.sqrt(2)
-        assert np.allclose(dec.eigenvectors, [[s, s], [s, -s]])
-
-    def test_identity_exact(self):
-        dec = eig_hermitian(np.eye(3))
-        assert np.array_equal(dec.eigenvalues, np.ones(3))
-        assert np.allclose(dec.reconstruct(), np.eye(3))
-
-    @pytest.mark.parametrize("complex_mode", [False, True])
-    def test_reconstruction_roundtrip(self, complex_mode):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            d = rng.integers(1, 9)
-            a = rand_hermitian(rng, d, complex_mode)
-            dec = eig_hermitian(a)
-            assert np.linalg.norm(dec.reconstruct() - a) <= 1e-10 * max(
-                np.linalg.norm(a), 1e-300
-            )
-            u = dec.eigenvectors
-            assert np.linalg.norm(u @ u.conj().T - np.eye(d)) <= 1e-12 * d
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rand_hermitian(rng, 5, complex_mode=True)
-            u = eig_hermitian(a).eigenvectors
-            for row in u:
-                pivot = row[np.abs(row) > 1e-12][0]
-                assert pivot.real > 0
-                assert abs(pivot.imag) < 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        a = rand_hermitian(rng, 6)
-        d1, d2 = eig_hermitian(a), eig_hermitian(a)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
 class TestSqrt:
     def test_diagonal(self):
         assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])).array, np.diag([2.0, 3.0]))
 
     def test_hand_2x2(self):
-        # from the hand eigendecomposition above: U diag(sqrt 3, 1) U^T
+        # U diag(sqrt 3, 1) U^T, U the eigenvectors (1, 1)/sqrt 2 and (1, -1)/sqrt 2
         expected = np.array(
             [
                 [(np.sqrt(3) + 1) / 2, (np.sqrt(3) - 1) / 2],

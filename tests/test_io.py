@@ -1,13 +1,18 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bwbary import (
     LocationScaleMeasure,
-    MatrixBundle,
+    NotHermitianError,
     ParseError,
     PsdMatrix,
+    SampleSet,
     ValidationError,
     bw_distance_sq,
     load_bundle,
@@ -32,16 +37,16 @@ def random_bundle(rng, d=3, n=4, complex_mode=False, weighted=False):
         weights = raw / raw.sum()
         correction = 1.0 - weights.sum()
         weights[-1] += correction
-    return MatrixBundle(mats, weights=weights, mode="complex" if complex_mode else "real")
+    return SampleSet(mats, weights=weights, mode="complex" if complex_mode else "real")
 
 
 class TestBundleRoundTrip:
     def test_single_identity(self, tmp_path):
         path = tmp_path / "one.mat"
-        save_bundle(MatrixBundle([PsdMatrix(np.eye(2))]), path)
+        save_bundle(SampleSet([PsdMatrix(np.eye(2))]), path)
         loaded = load_bundle(path)
         assert len(loaded) == 1
-        assert np.array_equal(loaded.matrices[0].array, np.eye(2))
+        assert np.array_equal(loaded[0].array, np.eye(2))
 
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("complex_mode", [False, True])
@@ -53,8 +58,15 @@ class TestBundleRoundTrip:
         loaded = load_bundle(path)
         assert loaded.mode == bundle.mode
         assert np.array_equal(loaded.weights, bundle.weights)
-        for a, b in zip(loaded.matrices, bundle.matrices):
+        for a, b in zip(loaded, bundle):
             assert np.array_equal(a.array, b.array)
+
+    def test_uniform_weights_not_written(self, tmp_path):
+        path = tmp_path / "u.mat"
+        save_bundle(SampleSet([np.eye(2), 2 * np.eye(2)], weights=[0.5, 0.5]), path)
+        assert "weights:" not in path.read_text()
+        save_bundle(SampleSet([np.eye(2), 2 * np.eye(2)], weights=[0.25, 0.75]), path)
+        assert "weights: 0.25 0.75" in path.read_text()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -76,6 +88,16 @@ class TestBundleValidation:
         with pytest.raises(ValidationError, match="matrix 1"):
             load_bundle(path)
 
+    @pytest.mark.parametrize("first, second", [
+        ("1.0 0.0\n0.0 1.0", "1e-12 1e-12\n0.0 1e-12"),  # 50% asymmetric below unit scale
+        ("1e6 0.0\n0.0 1e6", "1.0 1e-5\n0.0 1.0"),  # beside a large matrix
+    ])
+    def test_asymmetry_gated_per_matrix(self, tmp_path, first, second):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"BWB v1 2 real 2\n{first}\n{second}\n")
+        with pytest.raises(NotHermitianError, match="matrix 1"):
+            load_bundle(path)
+
     def test_weights_error_carries_sum(self, tmp_path):
         path = tmp_path / "w.mat"
         path.write_text(
@@ -90,7 +112,7 @@ class TestBundleValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            MatrixBundle([PsdMatrix(np.eye(2)), PsdMatrix(np.eye(2))], weights=[bad, 0.5])
+            SampleSet([PsdMatrix(np.eye(2)), PsdMatrix(np.eye(2))], weights=[bad, 0.5])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.mat"
@@ -118,14 +140,21 @@ class TestBundleValidation:
             "0.0-1.0i 2.0+0.0i\n"
         )
         loaded = load_bundle(path)
-        assert loaded.matrices[0].array[0, 1] == 1j
+        assert loaded[0].array[0, 1] == 1j
+
+    def test_negative_zero_imaginary_round_trip(self, tmp_path):
+        mat = np.array([[2.0, complex(1.0, -0.0)], [complex(1.0, 0.0), 3.0]])
+        bundle = SampleSet([mat], mode="complex")
+        path = tmp_path / "nz.mat"
+        save_bundle(bundle, path)
+        assert load_bundle(path).array.tobytes() == bundle.array.tobytes()
 
     def test_exponent_complex_round_trip(self, tmp_path):
         mat = np.array([[2.0, 1e-5 + 2e-7j], [1e-5 - 2e-7j, 3.0]])
-        bundle = MatrixBundle([PsdMatrix(mat)], mode="complex")
+        bundle = SampleSet([PsdMatrix(mat)], mode="complex")
         path = tmp_path / "exp.mat"
         save_bundle(bundle, path)
-        assert np.array_equal(load_bundle(path).matrices[0].array, bundle.matrices[0].array)
+        assert np.array_equal(load_bundle(path)[0].array, bundle[0].array)
 
     def test_binary_truncation_detected(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -135,6 +164,61 @@ class TestBundleValidation:
         path.write_bytes(raw[:-8])
         with pytest.raises(ParseError, match="truncated"):
             load_bundle(path)
+
+    @pytest.mark.parametrize("header, tail, message", [
+        ((0, 0, 0, 1), b"", "bad dimensions"),
+        ((2, 0, 0, 1), bytes(32 + 8), "trailing bytes"),
+        ((2, 7, 0, 1), bytes(32), "mode flag 7"),
+        ((2, 0, 2, 1), bytes(32), "flag bits"),
+    ])
+    def test_binary_header_checked(self, tmp_path, header, tail, message):
+        path = tmp_path / "h.bin"
+        path.write_bytes(b"BWBB v1\n" + struct.pack("<IBBQ", *header) + tail)
+        with pytest.raises(ParseError, match=message):
+            load_bundle(path)
+
+
+_MAX = np.finfo(np.float64).max
+_entries = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e308, _MAX]),
+    st.floats(min_value=0.0, max_value=_MAX),
+)
+
+
+@st.composite
+def diagonal_bundles(draw):
+    """(stack, weights or None, mode) of diagonal PSD matrices over all
+    nonnegative finite floats."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["real", "complex"]))
+    diag = np.array(draw(st.lists(_entries, min_size=n * d, max_size=n * d)))
+    stack = np.zeros((n, d, d), dtype=np.complex128 if mode == "complex" else np.float64)
+    stack[:, np.arange(d), np.arange(d)] = diag.reshape(n, d)
+    weights = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+        weights = raw / raw.sum()
+        weights[-1] += 1.0 - weights.sum()
+    return stack, weights, mode
+
+
+class TestBundleRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(bundle=diagonal_bundles(), binary=st.booleans())
+    def test_save_load_save_bit_exact(self, bundle, binary):
+        stack, weights, mode = bundle
+        samples = SampleSet(stack, weights=weights, mode=mode)
+        assert np.array_equal(samples.array, stack)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.mat", Path(tmp) / "b.mat"
+            save_bundle(samples, first, binary=binary)
+            loaded = load_bundle(first)
+            save_bundle(loaded, second, binary=binary)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded.mode == mode
+        assert loaded.array.tobytes() == stack.tobytes()
+        assert np.array_equal(loaded.weights, samples.weights)
 
 
 class TestScaleLocation:

@@ -170,7 +170,7 @@ class TestCltExperiment:
     def test_variance_stat_cross_check(self):
         cfg = small_config(seed=29)
         report = run_clt_experiment(cfg)
-        _, _, pool = _population(cfg)
+        pool = _population(cfg)[2].array
         for block in report.per_n:
             n = block["n"]
             for rec in block["replicates"]:
@@ -191,7 +191,7 @@ class TestCltExperiment:
     def test_pool_sampling_draws_from_pool(self):
         cfg = small_config(sampling="pool", seed=53)
         report = run_clt_experiment(cfg)
-        _, _, pool = _population(cfg)
+        pool = _population(cfg)[2].array
         pool_bytes = {pool[i].tobytes() for i in range(pool.shape[0])}
         n = report.per_n[0]["n"]
         rng = derive_rng(cfg.seed, 1, n, 0)
@@ -208,6 +208,20 @@ class TestCltExperiment:
         for rec in block["replicates"]:
             assert len(rec["studentized"]) == 55
             assert np.all(np.isfinite(rec["studentized"]))
+
+    def test_pool_validated_once(self, monkeypatch):
+        # the pool set that solves for Q* also feeds Sigma0, F0 and the draws
+        calls = []
+        init = SampleSet.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampleSet, "__init__", counting)
+        cfg = small_config(n_grid=(3, 4), replicates=3)
+        run_clt_experiment(cfg)
+        assert len(calls) == 1 + 3 * 2
 
     def test_failures_above_threshold_raise(self):
         # proxy converges at its own 1e-10 target, replicates cannot hit 1e-16
