@@ -1,4 +1,4 @@
-"""Fixed-point and projected-descent solvers for (affine-constrained)
+"""Fixed-point and affine-Newton solvers for (affine-constrained)
 Bures-Wasserstein barycenters, plus the Fréchet variance."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .exceptions import (
     PositivityLossError,
     ValidationError,
 )
-from .geometry import TransportPrep, _d2_stack, _psd_sqrt_stack, _transport_stack
+from .geometry import TransportPrep, _d2_stack, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack
 from .hermitian import (
     PD_REL_TOL,
     PsdMatrix,
@@ -28,11 +28,17 @@ from .hermitian import (
     _spectral,
     as_psd,
     hermitian_part,
+    standard_basis,
 )
 
 logger = logging.getLogger(__name__)
 
 MAX_STEP_HALVINGS = 60
+# Share of the predicted first-order decrease a damped Newton step must reach.
+ARMIJO_FRACTION = 1e-4
+# The variance is in trace units, so its roundoff scales with the weighted
+# mean trace; increases below this share of it are roundoff.
+VARIANCE_REL_SLACK = 1e-10
 
 
 class SampleSet:
@@ -126,23 +132,20 @@ class SolverConfig:
     """Iteration budget, tolerance, and step rule for the barycenter solvers.
 
     step_rule None picks fixed-point for unconstrained problems and
-    projected-descent when an affine constraint is supplied.  descent_step
-    None uses 1/L with L the dT-based smoothness estimate, refreshed every
-    10 iterations.
+    affine-newton (damped Newton steps on A = Q0 + M, Hessian F-hat) when an
+    affine constraint is supplied.
     """
 
     max_iter: int = 500
     tol_residual: float = 1e-10
     step_rule: str | None = None
-    descent_step: float | None = None
-    pd_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
         if not self.tol_residual > 0:
             raise ValidationError("tol_residual must be positive")
-        if self.step_rule not in (None, "fixed-point", "projected-descent"):
+        if self.step_rule not in (None, "fixed-point", "affine-newton"):
             raise ValidationError(f"unknown step rule {self.step_rule!r}")
 
 
@@ -197,8 +200,7 @@ def _ranked_sqrt(lam):
 
 
 def _append_variance(variances, variance, mean_trace, rule, it):
-    # The variance is in trace units, so its roundoff scales with the data.
-    if variances and variance > variances[-1] + 1e-10 * mean_trace:
+    if variances and variance > variances[-1] + VARIANCE_REL_SLACK * mean_trace:
         logger.warning("%s variance increased by %.3e at iteration %d",
                        rule, variance - variances[-1], it)
     variances.append(variance)
@@ -209,6 +211,16 @@ def _eigh_pd(mat, floor):
     if not w[0] > floor * max(float(w[-1]), 0.0):
         return None
     return w, v
+
+
+def _variance_at(q, root_sums, weights, mean_trace: float) -> float:
+    """Fréchet variance at Q from the sums of sqrt(eig(S_i^{1/2} Q S_i^{1/2}))."""
+    return float(np.real(np.trace(q))) + mean_trace - 2.0 * float(np.dot(weights, root_sums))
+
+
+def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
+    return ConvergenceError(f"{reason} (residual {res:.3e})", residual=res,
+                            iterations=iterations)
 
 
 def _solve_fixed_point(ss: SampleSet, cfg: SolverConfig):
@@ -229,9 +241,7 @@ def _solve_fixed_point(ss: SampleSet, cfg: SolverConfig):
         mean_root, sqrt_sums = _mean_sqrt_conjugated(q_root, stack, weights)
         mean_t = hermitian_part(q_root_inv @ mean_root @ q_root_inv)
         res = float(np.linalg.norm(mean_t - np.eye(d, dtype=mean_t.dtype)))
-        variance = float(np.real(np.trace(q))) + mean_trace - 2.0 * float(
-            np.dot(weights, sqrt_sums)
-        )
+        variance = _variance_at(q, sqrt_sums, weights, mean_trace)
         history.append(res)
         _append_variance(variances, variance, mean_trace, "fixed-point", it)
         if res <= cfg.tol_residual:
@@ -239,11 +249,7 @@ def _solve_fixed_point(ss: SampleSet, cfg: SolverConfig):
         if it == cfg.max_iter:
             break
         q = hermitian_part(q_root_inv @ mean_root @ mean_root @ q_root_inv)
-    raise ConvergenceError(
-        f"no convergence after {cfg.max_iter} iterations (residual {history[-1]:.3e})",
-        residual=history[-1],
-        iterations=cfg.max_iter,
-    )
+    raise _stalled(f"no convergence after {cfg.max_iter} iterations", history[-1], cfg.max_iter)
 
 
 def _ridge_to_pd(anchor, basis, d, dtype):
@@ -263,70 +269,60 @@ def _ridge_to_pd(anchor, basis, d, dtype):
     raise PositivityLossError("could not find a strictly positive point in A")
 
 
-def _solve_projected_descent(ss: SampleSet, basis: SubspaceBasis, cfg: SolverConfig):
+def _solve_affine_newton(ss: SampleSet, basis: SubspaceBasis, cfg: SolverConfig):
+    """Damped Newton on A = Q0 + M with the Hessian F = -sum_i w_i dT_i in
+    M-coordinates; steps halve until the iterate stays strictly positive and
+    the variance passes the Armijo test."""
     stack, weights = ss.array, ss.weights
     d = ss.dim
     if basis.dim_ambient != d:
         raise DimensionMismatchError("constraint basis does not match sample dimension")
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    mean_trace = float(np.dot(weights, traces))
-    if basis.anchor is not None:
-        anchor = basis.anchor
-    else:
-        anchor = PsdMatrix(np.einsum("n,nij->ij", weights, stack), mode=ss.mode)
+    mean_trace = float(np.dot(weights, np.real(np.trace(stack, axis1=1, axis2=2))))
+    anchor = basis.anchor or PsdMatrix(np.einsum("n,nij->ij", weights, stack), mode=ss.mode)
     if anchor.is_strictly_positive():
         q = anchor.array.astype(stack.dtype)
     else:
         q = _ridge_to_pd(anchor, basis, d, stack.dtype)
-    lam_q_min = float(np.linalg.eigvalsh(q)[0])
-    step_scale = 1.0
-    halvings = 0
     history = []
     variances = []
-    lhat = None
     for it in range(cfg.max_iter + 1):
-        t, _, _, lam = ss.transport_prep(q)
-        mean_t = np.einsum("n,nij->ij", weights, t)
-        coords = _coords(basis, mean_t - np.eye(d, dtype=t.dtype))
+        prep = ss.transport_prep(q)  # a hit when the last step was accepted
+        mean_t = np.einsum("n,nij->ij", weights, prep.t)
+        coords = _coords(basis, mean_t - np.eye(d, dtype=mean_t.dtype))
         res = float(np.linalg.norm(coords))
-        variance = float(np.real(np.trace(q))) + mean_trace - 2.0 * float(
-            np.dot(weights, np.sqrt(lam).sum(axis=1))
-        )
+        variance = _variance_at(q, np.sqrt(prep.lam).sum(axis=1), weights, mean_trace)
         history.append(res)
-        _append_variance(variances, variance, mean_trace, "descent", it)
+        _append_variance(variances, variance, mean_trace, "affine-newton", it)
         if res <= cfg.tol_residual:
             return q, it, res, max(variance, 0.0), history, variances
         if it == cfg.max_iter:
             break
-        if cfg.descent_step is not None:
-            gamma = step_scale * cfg.descent_step
+        hess = _f_hat_from_prep(prep, weights, basis.basis)
+        del prep  # only one prep of the sample set is alive at a time
+        try:
+            delta = np.linalg.solve(hess, coords) if np.all(np.isfinite(hess)) else None
+        except np.linalg.LinAlgError:
+            delta = None
+        if delta is None or not (np.all(np.isfinite(delta)) and coords @ delta > 0):
+            raise _stalled(f"Newton system is singular at iteration {it}", res, it)
+        direction = np.einsum("k,kab->ab", delta, basis.basis)
+        # Armijo: V falls by ARMIJO_FRACTION of -<grad V, step> = step coords.delta,
+        # up to roundoff
+        bound = variance + VARIANCE_REL_SLACK * mean_trace
+        slope = ARMIJO_FRACTION * float(coords @ delta)
+        step = 1.0
+        for _ in range(MAX_STEP_HALVINGS):
+            candidate = hermitian_part(q + step * direction)
+            if _eigh_pd(candidate, PD_REL_TOL) is not None:
+                sums = np.sqrt(ss.transport_prep(candidate).lam).sum(axis=1)
+                if _variance_at(candidate, sums, weights, mean_trace) <= bound - step * slope:
+                    break
+            step /= 2.0
         else:
-            # The dT eigenvalue bound is a smoothness constant in the
-            # Q-whitened norm; dividing by lambda_min(Q)^2 converts it to
-            # the Frobenius norm the descent runs in.
-            if lhat is None or it % 10 == 0:
-                lhat = 0.5 * float(np.dot(weights, np.sqrt(lam[:, -1])))
-            gamma = step_scale * lam_q_min * lam_q_min / lhat
-        direction = np.einsum("k,kab->ab", coords, basis.basis)
-        while True:
-            candidate = hermitian_part(q + gamma * direction)
-            eig = _eigh_pd(candidate, 0.0)
-            if eig is not None and eig[0][0] > cfg.pd_floor * max(1.0, float(eig[0][-1])):
-                break
-            halvings += 1
-            if halvings > MAX_STEP_HALVINGS:
-                raise PositivityLossError(
-                    f"strict positivity lost after {MAX_STEP_HALVINGS} step halvings"
-                )
-            step_scale /= 2.0
-            gamma /= 2.0
+            raise _stalled(f"no acceptable Newton step after {MAX_STEP_HALVINGS} halvings",
+                           res, it)
         q = candidate
-        lam_q_min = float(eig[0][0])
-    raise ConvergenceError(
-        f"no convergence after {cfg.max_iter} iterations (residual {history[-1]:.3e})",
-        residual=history[-1],
-        iterations=cfg.max_iter,
-    )
+    raise _stalled(f"no convergence after {cfg.max_iter} iterations", history[-1], cfg.max_iter)
 
 
 def solve_barycenter(
@@ -338,7 +334,7 @@ def solve_barycenter(
     """Barycenter of a weighted sample, optionally on an affine set A = Q0 + M.
 
     Unconstrained problems run the classical fixed-point map; constrained ones
-    run projected gradient descent whose iterates never leave A.  The exit
+    run damped Newton steps whose iterates never leave A.  The exit
     certificate is the first-order residual ||Pi_M(mean T - I)||_F.
     """
     ss = as_sample_set(samples, weights)
@@ -350,7 +346,7 @@ def solve_barycenter(
         )
     rule = cfg.step_rule
     if rule is None:
-        rule = "fixed-point" if constraint is None else "projected-descent"
+        rule = "fixed-point" if constraint is None else "affine-newton"
     if rule == "fixed-point":
         if constraint is not None:
             raise ValidationError("fixed-point iteration cannot honor a constraint")
@@ -358,10 +354,8 @@ def solve_barycenter(
     else:
         basis = constraint
         if basis is None:
-            from .hermitian import standard_basis
-
             basis = standard_basis(ss.dim, mode=ss.mode, kind="full")
-        q, iters, res, variance, history, variances = _solve_projected_descent(ss, basis, cfg)
+        q, iters, res, variance, history, variances = _solve_affine_newton(ss, basis, cfg)
     return BarycenterResult(
         barycenter=PsdMatrix(q, mode=ss.mode, require_pd=True),
         iterations=iters,

@@ -25,6 +25,10 @@ from .hermitian import (
 
 logger = logging.getLogger(__name__)
 
+# Samples per F-hat GEMM.  A constant, so the summation order (and the report
+# bytes) never depend on the thread count.
+F_HAT_CHUNK = 1024
+
 
 def _pair(q, s):
     qm = as_psd(q)
@@ -207,3 +211,24 @@ def _dt_apply(prep: TransportPrep, x: np.ndarray) -> np.ndarray:
     """dT_i(X) for every target in the prep; X may be one matrix or a stack."""
     gh = _adjoint(prep.g)
     return -(prep.g @ ((gh @ x @ prep.g) * prep.w2) @ gh)
+
+
+def _f_hat_from_prep(prep: TransportPrep, weights, elements) -> np.ndarray:
+    """Materialize -sum_i w_i dT_i on the given Hermitian elements: F-hat, and
+    on a basis of M the Hessian of the Fréchet functional the solver inverts.
+
+    Uses <-dT(X), Y> = sum_ab w2_ab Delta^X_ab conj(Delta^Y_ab) with
+    Delta = G* X G, the quadratic form behind self-adjointness of dT.  With
+    X_k = Delta^{B_k} sqrt(w_i w2_i) flattened over (i, a, b) the matrix is
+    Re(X X^*), accumulated one GEMM per F_HAT_CHUNK samples to bound memory,
+    and returned exactly symmetric.
+    """
+    m = elements.shape[0]
+    scale = np.sqrt(weights[:, None, None] * prep.w2)
+    mat = np.zeros((m, m))
+    for lo in range(0, len(weights), F_HAT_CHUNK):
+        g = prep.g[lo:lo + F_HAT_CHUNK]
+        x = (_adjoint(g) @ (elements[:, None] @ g)) * scale[lo:lo + F_HAT_CHUNK]
+        x = x.reshape(m, -1)
+        mat += np.real(x @ _adjoint(x))
+    return (mat + mat.T) / 2

@@ -85,11 +85,13 @@ def _reject(bad: np.ndarray, error, reason: str, *values) -> None:
 def _hermitian_stack(stack, mode=None):
     """The input policy up to symmetry, for an (n, d, d) stack.
 
-    Infers the mode from the dtype, rejects non-finite entries and imaginary
-    parts in real mode, and gates each matrix by ||A - A_h||_F <=
+    Infers the mode from the dtype, rejects non-numeric and non-finite entries
+    and imaginary parts in real mode, and gates each matrix by ||A - A_h||_F <=
     HERMITIAN_REL_TOL ||A||_F.  Returns (the stack of A_h = (A + A^*)/2, mode).
     """
     stack = np.asarray(stack)
+    if stack.dtype.kind not in "biufc":
+        raise ValidationError(f"matrix entries must be numbers, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
         raise DimensionMismatchError(f"expected a nonempty (n, d, d) stack, got {stack.shape}")
     inferred = COMPLEX if np.iscomplexobj(stack) else REAL
@@ -242,29 +244,22 @@ def sqrt_differential(q, x) -> np.ndarray:
 class SubspaceBasis:
     """Orthonormal (Frobenius) basis of a linear subspace M of Hermitian matrices.
 
-    The optional anchor Q0 places an affine constraint set A = Q0 + M.
+    The elements pass the input gate of `_hermitian_stack` and are stored as
+    their Hermitian parts.  The optional anchor Q0 places an affine constraint
+    set A = Q0 + M.
     """
 
     __slots__ = ("basis", "mode", "anchor")
 
     def __init__(self, basis, mode=None, anchor=None):
-        stack = np.asarray(basis)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatchError(
-                f"basis must be a stack of square matrices, got {stack.shape}"
-            )
-        inferred = COMPLEX if np.iscomplexobj(stack) else REAL
-        if mode is None:
-            mode = inferred
-        dtype = np.complex128 if mode == COMPLEX else np.float64
-        stack = np.array(stack, dtype=dtype)
+        try:
+            stack, mode = _hermitian_stack(basis, mode)
+        except ValidationError as exc:
+            if exc.index is None:
+                raise
+            raise type(exc)(f"basis element {exc.index}: {exc.reason}") from exc
         m, d = stack.shape[0], stack.shape[1]
-        limit = d * d if mode == COMPLEX else d * (d + 1) // 2
-        if not 1 <= m <= limit:
-            raise ValidationError(f"basis size {m} outside [1, {limit}] for mode {mode}")
-        herm_gap = np.max(np.abs(stack - hermitian_part(stack)))
-        if herm_gap > 1e-12:
-            raise NotHermitianError(f"basis elements not Hermitian (gap {herm_gap:.3e})")
+        # more elements than the dimension of H(d) cannot be orthonormal
         gram = np.real(np.einsum("kab,lab->kl", np.conjugate(stack), stack))
         if np.max(np.abs(gram - np.eye(m))) > 1e-12:
             raise ValidationError("basis is not orthonormal under the Frobenius product")

@@ -17,9 +17,9 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import (
-    TransportPrep,
     _d2_stack,
     _dt_apply,
+    _f_hat_from_prep,
     _psd_sqrt_stack,
     _transport_stack,
     bw_distance,
@@ -28,7 +28,6 @@ from .hermitian import (
     OperatorOnM,
     PsdMatrix,
     SubspaceBasis,
-    _adjoint,
     _clipped_sqrt,
     _coords,
     _inv_sqrt,
@@ -43,10 +42,6 @@ from .hermitian import (
 logger = logging.getLogger(__name__)
 
 XI_RANK_TOL = 1e-10
-
-# Samples per F-hat GEMM.  A constant, so the summation order (and the report
-# bytes) never depend on the thread count.
-F_HAT_CHUNK = 1024
 
 
 @dataclass
@@ -83,25 +78,6 @@ def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     coords = _coords(basis, t - np.eye(ss.dim, dtype=t.dtype))
     mat = np.einsum("n,nk,nl->kl", ss.weights, coords, coords)
     return OperatorOnM(basis, mat)
-
-
-def _f_hat_from_prep(prep: TransportPrep, weights, elements):
-    """Materialize -sum_i w_i dT_i on the given Hermitian elements.
-
-    Uses <-dT(X), Y> = sum_ab w2_ab Delta^X_ab conj(Delta^Y_ab) with
-    Delta = G* X G, the quadratic form behind self-adjointness of dT.  With
-    X_k = Delta^{B_k} sqrt(w_i w2_i) flattened over (i, a, b) the matrix is
-    Re(X X^*), accumulated one GEMM per F_HAT_CHUNK samples to bound memory.
-    """
-    m = elements.shape[0]
-    scale = np.sqrt(weights[:, None, None] * prep.w2)
-    mat = np.zeros((m, m))
-    for lo in range(0, len(weights), F_HAT_CHUNK):
-        g = prep.g[lo:lo + F_HAT_CHUNK]
-        x = (_adjoint(g) @ (elements[:, None] @ g)) * scale[lo:lo + F_HAT_CHUNK]
-        x = x.reshape(m, -1)
-        mat += np.real(x @ _adjoint(x))
-    return mat
 
 
 def estimate_f_hat(samples, q, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:

@@ -18,6 +18,9 @@ from bwbary import (
     transport_map,
 )
 
+from bwbary import barycenter as barycenter_module
+from bwbary.barycenter import VARIANCE_REL_SLACK
+from bwbary.inference import estimate_f_hat
 from bwbary.mclab import _random_spd_stack
 
 from helpers import rand_orthogonal, rand_spd, rand_psd_singular
@@ -59,6 +62,10 @@ class TestSampleSet:
         with pytest.raises(NotHermitianError, match="sample 1"):
             SampleSet([first, second])
 
+    def test_non_numeric_rejected(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            SampleSet([[["a"]]])
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             SampleSet([])
@@ -69,7 +76,7 @@ class TestSampleSet:
 
 
 class TestVarianceWarningScale:
-    @pytest.mark.parametrize("step_rule", ["fixed-point", "projected-descent"])
+    @pytest.mark.parametrize("step_rule", ["fixed-point", "affine-newton"])
     def test_no_warning_at_any_scale(self, caplog, step_rule):
         # the variance is in trace units; an absolute slack misfires at 1e8 and 1e12
         stack = _random_spd_stack(50, 3, (1.0, 5.0), np.random.default_rng(0))
@@ -249,7 +256,7 @@ class TestConstrainedSolver:
         ss = SampleSet([rand_spd(rng, 2) for _ in range(4)])
         fp = solve_barycenter(ss)
         pgd = solve_barycenter(
-            ss, config=SolverConfig(step_rule="projected-descent", max_iter=5000)
+            ss, config=SolverConfig(step_rule="affine-newton", max_iter=5000)
         )
         assert np.linalg.norm(fp.barycenter.array - pgd.barycenter.array) <= 1e-8
 
@@ -268,6 +275,88 @@ class TestConstrainedSolver:
         with caplog.at_level(logging.WARNING, logger="bwbary.barycenter"):
             result = solve_barycenter(ss, constraint=basis)
         assert result.residual <= 1e-10
+
+
+class TestAffineNewton:
+    def test_criterion_6_ensembles_take_few_iterations(self):
+        # the criterion-6 ensembles at the default max_iter
+        rng = np.random.default_rng(6)
+        basis = standard_basis(3, kind="traceless")
+        for _ in range(20):
+            stack = np.stack([rand_spd(rng, 3, 1.0, 5.0) for _ in range(10)])
+            stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+            result = solve_barycenter(SampleSet(stack), constraint=basis)
+            assert result.iterations <= 8
+            assert result.residual <= 1e-10
+
+    def test_unconstrained_matches_fixed_point(self):
+        # at the default max_iter; the fixed point is the tighter reference
+        rng = np.random.default_rng(20)
+        newton = SolverConfig(step_rule="affine-newton")
+        reference = SolverConfig(tol_residual=1e-13)
+        for d, n in ((2, 3), (3, 7), (4, 5)):
+            ss = SampleSet([rand_spd(rng, d, 0.2, 5.0) for _ in range(n)])
+            fp = solve_barycenter(ss, config=reference).barycenter.array
+            nt = solve_barycenter(ss, config=newton).barycenter.array
+            assert np.linalg.norm(fp - nt) <= 1e-10
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_variance_never_increases(self, constrained):
+        rng = np.random.default_rng(21)
+        cfg = SolverConfig(step_rule="affine-newton")
+        basis = standard_basis(3, kind="traceless") if constrained else None
+        for _ in range(10):
+            ss = SampleSet(density_samples(rng, 3, 8, 0.05, 5.0))
+            history = solve_barycenter(ss, constraint=basis, config=cfg).variance_history
+            assert len(history) >= 3
+            # up to roundoff in trace units; the samples have trace 1
+            assert np.all(np.diff(history) <= VARIANCE_REL_SLACK)
+
+    def test_complex_mode_constrained(self):
+        rng = np.random.default_rng(22)
+        mats = np.stack([rand_spd(rng, 3, 1.0, 5.0, complex_mode=True) for _ in range(6)])
+        mats /= np.real(np.trace(mats, axis1=1, axis2=2))[:, None, None]
+        basis = standard_basis(3, mode="complex", kind="traceless")
+        result = solve_barycenter(SampleSet(mats), constraint=basis)
+        assert result.barycenter.mode == "complex"
+        assert result.residual <= 1e-10
+        assert abs(result.barycenter.trace - 1.0) <= 1e-12
+
+    def test_hessian_is_f_hat(self, monkeypatch):
+        # every Newton system is F-hat at the iterate, bit for bit
+        rng = np.random.default_rng(23)
+        mats = density_samples(rng, 3, 9)
+        basis = standard_basis(3, kind="traceless")
+        iterate_of = {}
+        calls = []
+        prep_at = SampleSet.transport_prep
+        f_hat = barycenter_module._f_hat_from_prep
+
+        def recording_prep(self, q):
+            prep = prep_at(self, q)
+            iterate_of[id(prep)] = q.copy()
+            return prep
+
+        def recording_f_hat(prep, weights, elements):
+            hess = f_hat(prep, weights, elements)
+            calls.append((iterate_of[id(prep)], hess))
+            return hess
+
+        monkeypatch.setattr(SampleSet, "transport_prep", recording_prep)
+        monkeypatch.setattr(barycenter_module, "_f_hat_from_prep", recording_f_hat)
+        result = solve_barycenter(SampleSet(mats), constraint=basis)
+        monkeypatch.undo()
+        assert len(calls) == result.iterations >= 2
+        for q, hess in calls:
+            assert np.array_equal(hess, estimate_f_hat(SampleSet(mats), q, basis).matrix)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_singular_hessian_is_bw_error(self, monkeypatch, fill):
+        ss = SampleSet(density_samples(np.random.default_rng(24), 3, 5))
+        monkeypatch.setattr(barycenter_module, "_f_hat_from_prep",
+                            lambda prep, weights, elements: np.full((len(elements),) * 2, fill))
+        with pytest.raises(ConvergenceError, match="singular"):
+            solve_barycenter(ss, constraint=standard_basis(3, kind="traceless"))
 
 
 class TestResidual:

@@ -59,6 +59,10 @@ class TestPsdMatrix:
         with pytest.raises(NotHermitianError):
             PsdMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_rejects_non_numeric(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            PsdMatrix([["a"]])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             PsdMatrix(np.ones((2, 3)))
@@ -191,6 +195,25 @@ class TestStandardBasis:
     def test_orthonormality_validated(self):
         with pytest.raises(ValidationError):
             SubspaceBasis(np.stack([np.eye(2), np.eye(2)]))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown mode"):
+            SubspaceBasis(standard_basis(2).basis, mode="bogus")
+
+    def test_complex_basis_in_real_mode_rejected(self):
+        with pytest.raises(ValidationError, match="basis element 3: complex entries"):
+            SubspaceBasis(standard_basis(2, mode="complex").basis, mode="real")
+
+    def test_hermitian_gate_per_element_and_relative(self):
+        # 7e-12 relative asymmetry is roundoff, as for a PsdMatrix: the element
+        # is kept as its Hermitian part; 7e-9 is rejected, naming the element
+        elements = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        elements[0, 0, 1] = 1e-11
+        kept = SubspaceBasis(elements).basis
+        assert np.array_equal(kept[0], kept[0].T) and kept[0, 0, 1] == 5e-12
+        elements[1, 0, 1] = 1e-8
+        with pytest.raises(NotHermitianError, match="basis element 1: .* 7.071e-09"):
+            SubspaceBasis(elements)
 
 
 class TestProjectionAndCoordinates:

@@ -33,7 +33,8 @@ from bwbary import (
     variance_clt_stats,
     vectorize,
 )
-from bwbary.inference import F_HAT_CHUNK, XI_RANK_TOL
+from bwbary.geometry import F_HAT_CHUNK
+from bwbary.inference import XI_RANK_TOL
 from bwbary.mclab import _random_spd_stack
 
 from helpers import rand_hermitian, rand_orthogonal, rand_spd, rand_unitary
