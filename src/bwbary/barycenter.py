@@ -1,9 +1,11 @@
-"""Fixed-point and affine-Newton solvers for (affine-constrained)
-Bures-Wasserstein barycenters, plus the Fréchet variance."""
+"""The solver for (affine-constrained) Bures-Wasserstein barycenters: one
+iteration loop on the sample set's transport prep with two step rules, the
+fixed-point map and affine Newton; plus the Fréchet variance."""
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +21,10 @@ from .geometry import TransportPrep, _d2_stack, _f_hat_from_prep, _psd_sqrt_stac
 from .hermitian import (
     PD_REL_TOL,
     PsdMatrix,
-    RANK_REL_TOL,
     SubspaceBasis,
-    _clipped_sqrt,
+    _as_array,
     _coords,
-    _inv_sqrt,
     _psd_stack,
-    _spectral,
     as_psd,
     hermitian_part,
     standard_basis,
@@ -52,7 +51,7 @@ class SampleSet:
 
     def __init__(self, matrices, weights=None, mode=None):
         if not isinstance(matrices, np.ndarray):
-            mats = [m.array if isinstance(m, PsdMatrix) else np.asarray(m) for m in matrices]
+            mats = [m.array if isinstance(m, PsdMatrix) else _as_array(m) for m in matrices]
             if not mats:
                 raise ValidationError("sample set must contain at least one matrix")
             shapes = {m.shape for m in mats}
@@ -64,7 +63,10 @@ class SampleSet:
         if weights is None:
             w = np.full(n, 1.0 / n)
         else:
-            w = np.asarray(weights, dtype=np.float64)
+            w = _as_array(weights)
+            if w.dtype.kind not in "biuf":
+                raise ValidationError(f"weights must be real numbers, got dtype {w.dtype}")
+            w = w.astype(np.float64)
             if w.shape != (n,):
                 raise DimensionMismatchError(f"weights shape {w.shape} != ({n},)")
             if not np.all(np.isfinite(w)):
@@ -141,10 +143,10 @@ class SolverConfig:
     step_rule: str | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
-        if not self.tol_residual > 0:
-            raise ValidationError("tol_residual must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not isinstance(self.tol_residual, numbers.Real) or not self.tol_residual > 0:
+            raise ValidationError(f"tol_residual must be a number > 0, got {self.tol_residual!r}")
         if self.step_rule not in (None, "fixed-point", "affine-newton"):
             raise ValidationError(f"unknown step rule {self.step_rule!r}")
 
@@ -185,20 +187,6 @@ def residual(q, samples, basis: SubspaceBasis | None = None, weights=None) -> fl
     return float(np.linalg.norm(_coords(basis, gap)))
 
 
-def _mean_sqrt_conjugated(q_root, stack, weights):
-    """(sum_i w_i (Q^{1/2} S_i Q^{1/2})^{1/2}, eigenvalue sums) for one iterate."""
-    lam, v = np.linalg.eigh(q_root @ stack @ q_root)
-    mean_root = np.einsum("n,nij->ij", weights, _spectral(lam, v, _ranked_sqrt))
-    return hermitian_part(mean_root), _ranked_sqrt(lam).sum(axis=1)
-
-
-def _ranked_sqrt(lam):
-    # Eigenvalues of a singular S_i come out as roundoff of order 1e-16 lam_max,
-    # and their square roots would put a 1e-8 floor under the residual; those
-    # at or below RANK_REL_TOL lam_max are zeros, as in the transport maps.
-    return np.where(lam > RANK_REL_TOL * lam[:, -1:], _clipped_sqrt(lam), 0.0)
-
-
 def _append_variance(variances, variance, mean_trace, rule, it):
     if variances and variance > variances[-1] + VARIANCE_REL_SLACK * mean_trace:
         logger.warning("%s variance increased by %.3e at iteration %d",
@@ -223,35 +211,6 @@ def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
                             iterations=iterations)
 
 
-def _solve_fixed_point(ss: SampleSet, cfg: SolverConfig):
-    stack, weights = ss.array, ss.weights
-    d = ss.dim
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    mean_trace = float(np.dot(weights, traces))
-    q = hermitian_part(np.einsum("n,nij->ij", weights, stack))
-    history = []
-    variances = []
-    for it in range(cfg.max_iter + 1):
-        eig = _eigh_pd(q, PD_REL_TOL)
-        if eig is None:
-            raise PositivityLossError("fixed-point iterate lost strict positivity")
-        w, v = eig
-        q_root = _spectral(w, v, np.sqrt)
-        q_root_inv = _spectral(w, v, _inv_sqrt)
-        mean_root, sqrt_sums = _mean_sqrt_conjugated(q_root, stack, weights)
-        mean_t = hermitian_part(q_root_inv @ mean_root @ q_root_inv)
-        res = float(np.linalg.norm(mean_t - np.eye(d, dtype=mean_t.dtype)))
-        variance = _variance_at(q, sqrt_sums, weights, mean_trace)
-        history.append(res)
-        _append_variance(variances, variance, mean_trace, "fixed-point", it)
-        if res <= cfg.tol_residual:
-            return q, it, res, max(variance, 0.0), history, variances
-        if it == cfg.max_iter:
-            break
-        q = hermitian_part(q_root_inv @ mean_root @ mean_root @ q_root_inv)
-    raise _stalled(f"no convergence after {cfg.max_iter} iterations", history[-1], cfg.max_iter)
-
-
 def _ridge_to_pd(anchor, basis, d, dtype):
     """Move the anchor inside the PD cone along Pi_M(I - Q0), doubling the ridge."""
     q0 = anchor.array.astype(dtype)
@@ -269,36 +228,47 @@ def _ridge_to_pd(anchor, basis, d, dtype):
     raise PositivityLossError("could not find a strictly positive point in A")
 
 
-def _solve_affine_newton(ss: SampleSet, basis: SubspaceBasis, cfg: SolverConfig):
-    """Damped Newton on A = Q0 + M with the Hessian F = -sum_i w_i dT_i in
-    M-coordinates; steps halve until the iterate stays strictly positive and
-    the variance passes the Armijo test."""
-    stack, weights = ss.array, ss.weights
-    d = ss.dim
-    if basis.dim_ambient != d:
-        raise DimensionMismatchError("constraint basis does not match sample dimension")
-    mean_trace = float(np.dot(weights, np.real(np.trace(stack, axis1=1, axis2=2))))
-    anchor = basis.anchor or PsdMatrix(np.einsum("n,nij->ij", weights, stack), mode=ss.mode)
-    if anchor.is_strictly_positive():
-        q = anchor.array.astype(stack.dtype)
-    else:
-        q = _ridge_to_pd(anchor, basis, d, stack.dtype)
+def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
+    """One loop for both step rules, evaluated at each iterate's transport prep.
+
+    Without a basis it runs the fixed-point map Q <- T Q T from the weighted
+    mean, T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 +
+    M from the anchor (the mean by default), with the Hessian F = -sum_i w_i
+    dT_i in M-coordinates; steps halve until the iterate stays strictly
+    positive and the variance passes the Armijo test.
+    """
+    weights, d = ss.weights, ss.dim
+    rule = "fixed-point" if basis is None else "affine-newton"
+    mean_trace = float(np.dot(weights, np.real(np.trace(ss.array, axis1=1, axis2=2))))
+    q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
+    if basis is not None:
+        anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
+        if anchor.is_strictly_positive():
+            q = anchor.array.astype(ss.array.dtype)
+        else:
+            q = _ridge_to_pd(anchor, basis, d, ss.array.dtype)
     history = []
     variances = []
     for it in range(cfg.max_iter + 1):
-        prep = ss.transport_prep(q)  # a hit when the last step was accepted
+        if basis is None and _eigh_pd(q, PD_REL_TOL) is None:
+            raise PositivityLossError("fixed-point iterate lost strict positivity")
+        prep = ss.transport_prep(q)  # a hit when a Newton step was accepted
         mean_t = np.einsum("n,nij->ij", weights, prep.t)
-        coords = _coords(basis, mean_t - np.eye(d, dtype=mean_t.dtype))
+        gap = mean_t - np.eye(d, dtype=mean_t.dtype)
+        coords = gap if basis is None else _coords(basis, gap)
         res = float(np.linalg.norm(coords))
         variance = _variance_at(q, np.sqrt(prep.lam).sum(axis=1), weights, mean_trace)
         history.append(res)
-        _append_variance(variances, variance, mean_trace, "affine-newton", it)
+        _append_variance(variances, variance, mean_trace, rule, it)
         if res <= cfg.tol_residual:
             return q, it, res, max(variance, 0.0), history, variances
         if it == cfg.max_iter:
             break
-        hess = _f_hat_from_prep(prep, weights, basis.basis)
+        hess = None if basis is None else _f_hat_from_prep(prep, weights, basis.basis)
         del prep  # only one prep of the sample set is alive at a time
+        if basis is None:
+            q = hermitian_part(mean_t @ q @ mean_t)
+            continue
         try:
             delta = np.linalg.solve(hess, coords) if np.all(np.isfinite(hess)) else None
         except np.linalg.LinAlgError:
@@ -333,9 +303,12 @@ def solve_barycenter(
 ) -> BarycenterResult:
     """Barycenter of a weighted sample, optionally on an affine set A = Q0 + M.
 
-    Unconstrained problems run the classical fixed-point map; constrained ones
-    run damped Newton steps whose iterates never leave A.  The exit
-    certificate is the first-order residual ||Pi_M(mean T - I)||_F.
+    Unconstrained problems run the classical fixed-point map Q <- T Q T, with
+    T the weighted mean of the transport maps T_Q^{S_i}; constrained ones run
+    damped Newton steps whose iterates never leave A.  Both rules evaluate each
+    iterate through the sample set's transport prep, so estimators called at
+    the returned barycenter reuse the last one.  The exit certificate is the
+    first-order residual ||Pi_M(mean T - I)||_F.
     """
     ss = as_sample_set(samples, weights)
     cfg = config or SolverConfig()
@@ -347,15 +320,14 @@ def solve_barycenter(
     rule = cfg.step_rule
     if rule is None:
         rule = "fixed-point" if constraint is None else "affine-newton"
-    if rule == "fixed-point":
-        if constraint is not None:
-            raise ValidationError("fixed-point iteration cannot honor a constraint")
-        q, iters, res, variance, history, variances = _solve_fixed_point(ss, cfg)
-    else:
-        basis = constraint
-        if basis is None:
-            basis = standard_basis(ss.dim, mode=ss.mode, kind="full")
-        q, iters, res, variance, history, variances = _solve_affine_newton(ss, basis, cfg)
+    basis = constraint
+    if rule == "fixed-point" and basis is not None:
+        raise ValidationError("fixed-point iteration cannot honor a constraint")
+    if rule == "affine-newton" and basis is None:
+        basis = standard_basis(ss.dim, mode=ss.mode, kind="full")
+    if basis is not None and basis.dim_ambient != ss.dim:
+        raise DimensionMismatchError("constraint basis does not match sample dimension")
+    q, iters, res, variance, history, variances = _solve(ss, basis, cfg)
     return BarycenterResult(
         barycenter=PsdMatrix(q, mode=ss.mode, require_pd=True),
         iterations=iters,

@@ -128,9 +128,9 @@ def _cmd_simulate(args) -> None:
     kind = raw.pop("kind", "clt")
     if kind not in ("clt", "concentration"):
         raise ValidationError(f"unknown experiment kind {kind!r}")
-    config = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
-        config.seed = args.seed
+        raw["seed"] = args.seed
+    config = ExperimentConfig.from_dict(raw)
     runner = run_clt_experiment if kind == "clt" else run_concentration_experiment
     report = runner(config)
     bwio.save_report(report, args.out)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, NumericalError
 from .hermitian import (
+    RANK_REL_TOL,
     OperatorOnM,
     PsdMatrix,
     SubspaceBasis,
@@ -190,12 +191,14 @@ class TransportPrep(NamedTuple):
 def _transport_stack(q: np.ndarray, roots: np.ndarray) -> TransportPrep:
     """Transport maps and dT data from one eigh per target, given S_i^{1/2}.
 
-    Eigenvalues at or below RANK_REL_TOL times the largest count as zero: the
-    maps take the pseudo-inverse branch and w2 = 1 / (r_a r_b (r_a + r_b))
+    Eigenvalues at or below RANK_REL_TOL times the largest are set to zero, so
+    sqrt(lam) carries no roundoff from a singular S_i; the maps take the
+    pseudo-inverse branch and w2 = 1 / (r_a r_b (r_a + r_b))
     vanishes on their pairs.
     """
     lam, g = np.linalg.eigh(roots @ q @ roots)
     lam = np.clip(lam, 0.0, None)
+    lam[lam <= RANK_REL_TOL * lam[:, -1:]] = 0.0
     g = roots @ g  # G = S^{1/2} V, rebound so V is freed early
     inv = _pinv_sqrt(lam)
     sq = np.sqrt(lam)

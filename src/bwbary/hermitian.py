@@ -82,6 +82,14 @@ def _reject(bad: np.ndarray, error, reason: str, *values) -> None:
                     index=i if bad.size > 1 else None)
 
 
+def _as_array(value) -> np.ndarray:
+    """np.asarray, with ragged nesting reported as a dimension mismatch."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"input is ragged or not array-like: {exc}") from None
+
+
 def _hermitian_stack(stack, mode=None):
     """The input policy up to symmetry, for an (n, d, d) stack.
 
@@ -89,7 +97,7 @@ def _hermitian_stack(stack, mode=None):
     and imaginary parts in real mode, and gates each matrix by ||A - A_h||_F <=
     HERMITIAN_REL_TOL ||A||_F.  Returns (the stack of A_h = (A + A^*)/2, mode).
     """
-    stack = np.asarray(stack)
+    stack = _as_array(stack)
     if stack.dtype.kind not in "biufc":
         raise ValidationError(f"matrix entries must be numbers, got dtype {stack.dtype}")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
@@ -149,7 +157,7 @@ class PsdMatrix:
     __slots__ = ("array", "mode")
 
     def __init__(self, array, mode=None, require_pd=False):
-        arr = np.asarray(array)
+        arr = _as_array(array)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {arr.shape}")
         stack, mode, eigs = _psd_stack(arr[None], mode)

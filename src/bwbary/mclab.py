@@ -5,6 +5,7 @@ simulation figures."""
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -63,6 +64,28 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
+def _check_count(name: str, value, low: int = 1) -> None:
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _checked_law(d, eig_law, u_mode) -> tuple:
+    """The checked law of a random SPD draw: dimension d, eigenvalues uniform
+    on eig_law = (a, b) with 0 < a <= b, and frame u_mode; returns (a, b)."""
+    _check_count("d", d)
+    try:
+        a, b = (float(x) for x in eig_law)
+    except (TypeError, ValueError):
+        raise ValidationError(f"eig_law must be a pair of numbers, got {eig_law!r}") from None
+    if not a > 0:
+        raise ValidationError("eigenvalue law must stay strictly positive (a > 0)")
+    if not a <= b:
+        raise ValidationError("eigenvalue law interval must have a <= b")
+    if u_mode not in ("haar", "identity"):
+        raise ValidationError(f"unknown u_mode {u_mode!r}")
+    return a, b
+
+
 @dataclass
 class ExperimentConfig:
     """Protocol for the simulation studies.
@@ -95,29 +118,23 @@ class ExperimentConfig:
     solver_tol: float = 1e-10
 
     def __post_init__(self):
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.eig_law = (float(self.eig_law[0]), float(self.eig_law[1]))
-        if self.d < 1:
-            raise ValidationError("d must be >= 1")
+        self.eig_law = _checked_law(self.d, self.eig_law, self.u_mode)
         for name in ("replicates", "pop_proxy_size", "limit_draws",
                      "histogram_bins", "kde_grid_points", "solver_max_iter"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ValidationError("n_grid entries must be >= 1")
+            _check_count(name, getattr(self, name))
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise ValidationError(f"n_grid must be a nonempty list, got {self.n_grid!r}")
+        for n in self.n_grid:
+            _check_count("n_grid entries", n)
+        self.n_grid = tuple(int(n) for n in self.n_grid)
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValidationError("n_grid must be sorted ascending")
-        a, b = self.eig_law
-        if a <= 0:
-            raise ValidationError("eigenvalue law must stay strictly positive (a > 0)")
-        if a > b:
-            raise ValidationError("eigenvalue law interval must have a <= b")
+        _check_count("seed", self.seed, low=0)
         if self.constraint not in (None, TRACE_ONE):
             raise ValidationError(f"unknown constraint {self.constraint!r}")
-        if self.u_mode not in ("haar", "identity"):
-            raise ValidationError(f"unknown u_mode {self.u_mode!r}")
         if self.sampling not in ("fresh", "pool"):
             raise ValidationError(f"unknown sampling mode {self.sampling!r}")
+        self.solver_config()  # the solver's own checks of solver_tol
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -167,15 +184,7 @@ def random_spd(d: int, eig_law, rng: np.random.Generator,
     The frame comes from QR orthonormalization of a Gaussian matrix with the
     R-diagonal signs fixed; u_mode="identity" is the commuting test hook.
     """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    a, b = float(eig_law[0]), float(eig_law[1])
-    if a <= 0:
-        raise ValidationError("eigenvalue law must stay strictly positive (a > 0)")
-    if a > b:
-        raise ValidationError("eigenvalue law interval must have a <= b")
-    if u_mode not in ("haar", "identity"):
-        raise ValidationError(f"unknown u_mode {u_mode!r}")
+    a, b = _checked_law(d, eig_law, u_mode)
     return PsdMatrix(_random_spd_stack(1, d, (a, b), rng, u_mode)[0], mode=REAL)
 
 
@@ -277,6 +286,49 @@ def _replicate_inference(ss: SampleSet, q_n: PsdMatrix, q_star: PsdMatrix,
         return None
 
 
+def _replicated(config: ExperimentConfig, pool: SampleSet, basis: SubspaceBasis,
+                stats, summarize) -> list:
+    """The per-n records of a replicated draw-and-solve study.
+
+    Every replicate draws n samples from its own stream, solves the (possibly
+    constrained) barycenter and records its seed, iterations and q_n, then
+    stats(n, samples, result); a NumericalError from the solve is recorded as
+    the replicate's error.  More than 1% failures at an n raise.  Each entry
+    carries summarize(records) over that n's solved replicates.
+    """
+    constraint = basis if config.constraint else None
+    solver_cfg = config.solver_config()
+
+    def job(task):
+        n, k = task
+        rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
+        ss = SampleSet(_replicate_draw(config, pool.array, n, rng))
+        try:
+            result = solve_barycenter(ss, constraint=constraint, config=solver_cfg)
+        except NumericalError as exc:
+            return {"replicate": k, "error": str(exc)}
+        return {
+            "replicate": k,
+            "seed": [config.seed, _DOMAIN_REPLICATE, n, k],
+            "iterations": result.iterations,
+            "q_n": result.barycenter.array.tolist(),
+            **stats(n, ss, result),
+        }
+
+    per_n = []
+    for n in config.n_grid:
+        records = _map_ordered(job, [(n, k) for k in range(config.replicates)])
+        ok = [r for r in records if "error" not in r]
+        failures = len(records) - len(ok)
+        if failures > 0.01 * config.replicates:
+            raise ExperimentFailureError(
+                f"{failures}/{config.replicates} replicates failed at n={n}"
+            )
+        per_n.append({"n": n, "failures": failures, "replicates": ok,
+                      "summaries": summarize(ok)})
+    return per_n
+
+
 def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     """Replicated draw-and-solve study of the barycenter CLT.
 
@@ -288,8 +340,6 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     """
     q_star, v_star, pool = _population(config)
     basis = _experiment_basis(config)
-    constraint = basis if config.constraint else None
-    solver_cfg = config.solver_config()
     sigma0 = estimate_sigma_hat(pool, q_star, basis)
     f0 = estimate_f_hat(pool, q_star, basis)
     limit_samples = {}
@@ -304,58 +354,31 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
             derive_rng(config.seed, _DOMAIN_LIMIT_DBW))
     except DegenerateCovarianceError:
         logger.warning("population xi is degenerate; limit samples omitted")
-        xi0 = None
     var_d2 = float(np.var(_d2_stack(q_star.array, pool.array)))
     limit_samples["variance"] = np.sqrt(var_d2) * derive_rng(
         config.seed, _DOMAIN_LIMIT_VARIANCE).standard_normal(config.limit_draws)
 
-    def job(task):
-        n, k = task
-        rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
-        stack = _replicate_draw(config, pool.array, n, rng)
-        ss = SampleSet(stack)
-        try:
-            result = solve_barycenter(ss, constraint=constraint, config=solver_cfg)
-        except NumericalError as exc:
-            return {"replicate": k, "error": str(exc)}
+    def stats(n, ss, result):
         q_n = result.barycenter
         root_n = np.sqrt(float(n))
         return {
-            "replicate": k,
-            "seed": [config.seed, _DOMAIN_REPLICATE, n, k],
-            "iterations": result.iterations,
-            "q_n": q_n.array.tolist(),
             "fnorm": float(root_n * np.linalg.norm(q_n.array - q_star.array)),
             "dbw": float(root_n * bw_distance(q_n, q_star)),
             "variance": float(root_n * (result.variance - v_star)),
             "studentized": _replicate_inference(ss, q_n, q_star, basis),
         }
 
-    per_n = []
-    for n in config.n_grid:
-        records = _map_ordered(job, [(n, k) for k in range(config.replicates)])
-        ok = [r for r in records if "error" not in r]
-        failures = len(records) - len(ok)
-        if failures > 0.01 * config.replicates:
-            raise ExperimentFailureError(
-                f"{failures}/{config.replicates} replicates failed at n={n}"
-            )
-        summaries = {}
-        for stat in ("fnorm", "dbw", "variance"):
-            values = np.array([r[stat] for r in ok])
-            summaries[stat] = _summarize(values, limit_samples.get(stat), config)
-        per_n.append({
-            "n": n,
-            "failures": failures,
-            "replicates": ok,
-            "summaries": summaries,
-        })
+    def summarize(ok):
+        return {stat: _summarize(np.array([r[stat] for r in ok]),
+                                 limit_samples.get(stat), config)
+                for stat in ("fnorm", "dbw", "variance")}
+
     return SimulationReport(
         kind="clt",
         config=config,
         q_star=q_star.array,
         v_star=v_star,
-        per_n=per_n,
+        per_n=_replicated(config, pool, basis, stats, summarize),
         limit_samples={k: v.tolist() for k, v in limit_samples.items()},
     )
 
@@ -364,51 +387,26 @@ def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     """Error-decay study: per replicate records ||Q'_n - I||_F and the
     distance to Q*, then fits the slope of log median error against log n."""
     q_star, v_star, pool = _population(config)
-    basis = _experiment_basis(config)
-    constraint = basis if config.constraint else None
-    solver_cfg = config.solver_config()
     inv_root = _spectral(*np.linalg.eigh(q_star.array), _inv_sqrt)
+    errors = ("fnorm_rel", "dbw_err")
 
-    def job(task):
-        n, k = task
-        rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
-        stack = _replicate_draw(config, pool.array, n, rng)
-        try:
-            result = solve_barycenter(SampleSet(stack), constraint=constraint,
-                                      config=solver_cfg)
-        except NumericalError as exc:
-            return {"replicate": k, "error": str(exc)}
+    def stats(n, ss, result):
         q_n = result.barycenter
         q_prime = inv_root @ q_n.array @ inv_root
         return {
-            "replicate": k,
-            "seed": [config.seed, _DOMAIN_REPLICATE, n, k],
-            "iterations": result.iterations,
-            "q_n": q_n.array.tolist(),
             "fnorm_rel": float(np.linalg.norm(q_prime - np.eye(config.d))),
             "dbw_err": float(bw_distance(q_n, q_star)),
         }
 
-    per_n = []
-    medians = {"fnorm_rel": [], "dbw_err": []}
-    for n in config.n_grid:
-        records = _map_ordered(job, [(n, k) for k in range(config.replicates)])
-        ok = [r for r in records if "error" not in r]
-        failures = len(records) - len(ok)
-        if failures > 0.01 * config.replicates:
-            raise ExperimentFailureError(
-                f"{failures}/{config.replicates} replicates failed at n={n}"
-            )
-        entry = {"n": n, "failures": failures, "replicates": ok, "summaries": {}}
-        for stat in ("fnorm_rel", "dbw_err"):
-            med = float(np.median([r[stat] for r in ok]))
-            medians[stat].append(med)
-            entry["summaries"][stat] = {"median": med}
-        per_n.append(entry)
+    def summarize(ok):
+        return {stat: {"median": float(np.median([r[stat] for r in ok]))} for stat in errors}
+
+    per_n = _replicated(config, pool, _experiment_basis(config), stats, summarize)
     rates = {}
     if len(config.n_grid) >= 2:
         logs = np.log(np.asarray(config.n_grid, dtype=float))
-        for stat, meds in medians.items():
+        for stat in errors:
+            meds = [entry["summaries"][stat]["median"] for entry in per_n]
             if min(meds) <= 0.0:
                 logger.warning("median %s hit zero; no decay rate fitted", stat)
                 continue

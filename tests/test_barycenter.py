@@ -6,6 +6,7 @@ import pytest
 from bwbary import (
     ConvergenceError,
     DegenerateInputError,
+    DimensionMismatchError,
     NotHermitianError,
     SampleSet,
     SolverConfig,
@@ -20,7 +21,8 @@ from bwbary import (
 
 from bwbary import barycenter as barycenter_module
 from bwbary.barycenter import VARIANCE_REL_SLACK
-from bwbary.inference import estimate_f_hat
+from bwbary.hermitian import RANK_REL_TOL
+from bwbary.inference import estimate_f_hat, estimate_sigma_hat
 from bwbary.mclab import _random_spd_stack
 
 from helpers import rand_orthogonal, rand_spd, rand_psd_singular
@@ -65,6 +67,15 @@ class TestSampleSet:
     def test_non_numeric_rejected(self):
         with pytest.raises(ValidationError, match="must be numbers"):
             SampleSet([[["a"]]])
+
+    @pytest.mark.parametrize("matrices, weights, error", [
+        ([[[1.0, 2.0], [3.0]]], None, DimensionMismatchError),
+        ([np.eye(2)], ["a"], ValidationError),
+        ([np.eye(2), np.eye(2)], [[0.5], [0.25, 0.25]], DimensionMismatchError),
+    ], ids=["ragged-matrix", "string-weight", "ragged-weights"])
+    def test_malformed_input_is_bw_error(self, matrices, weights, error):
+        with pytest.raises(error):
+            SampleSet(matrices, weights=weights)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -218,6 +229,70 @@ class TestUnconstrainedSolver:
         ss = SampleSet([target, other], weights=[1.0, 0.0])
         result = solve_barycenter(ss)
         assert np.linalg.norm(result.barycenter.array - target) <= 1e-9
+
+
+def _conjugated_fixed_point(stack, weights, tol=1e-10, max_iter=500):
+    """The fixed-point map written through Q^{1/2} S_i Q^{1/2}: with R = sum_i
+    w_i (Q^{1/2} S_i Q^{1/2})^{1/2}, mean T = Q^{-1/2} R Q^{-1/2} and the step
+    is Q <- Q^{-1/2} R^2 Q^{-1/2}; eigenvalues at or below RANK_REL_TOL times
+    the largest count as zero.  Returns (Q, iterations)."""
+    q = np.einsum("n,nij->ij", weights, stack)
+    q = (q + q.conj().T) / 2
+    eye = np.eye(q.shape[0])
+    for it in range(max_iter + 1):
+        w, v = np.linalg.eigh(q)
+        root = (v * np.sqrt(w)) @ v.conj().T
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        lam, u = np.linalg.eigh(root @ stack @ root)
+        lam = np.where(lam > RANK_REL_TOL * lam[:, -1:], np.sqrt(np.clip(lam, 0.0, None)), 0.0)
+        r = np.einsum("n,nij->ij", weights, (u * lam[:, None, :]) @ np.conj(u.transpose(0, 2, 1)))
+        r = (r + r.conj().T) / 2
+        if np.linalg.norm(inv_root @ r @ inv_root - eye) <= tol:
+            return q, it
+        q = inv_root @ r @ r @ inv_root
+        q = (q + q.conj().T) / 2
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestFixedPointReference:
+    @pytest.mark.parametrize("ensemble", ["real", "complex", "singular"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_conjugated_iteration(self, ensemble, seed):
+        # Q <- T Q T on the transport prep is the classical map in another form
+        rng = np.random.default_rng(100 + seed)
+        d, n = 3 + seed % 2, 5 + 3 * seed
+        if ensemble == "singular":
+            mats = [rand_psd_singular(rng, d, d - 1) for _ in range(n - 1)] + [rand_spd(rng, d)]
+        else:
+            mats = [rand_spd(rng, d, 0.2, 5.0, complex_mode=ensemble == "complex")
+                    for _ in range(n)]
+        weights = rng.uniform(0.2, 1.0, n)
+        weights /= weights.sum()
+        ss = SampleSet(mats, weights=weights)
+        result = solve_barycenter(ss)
+        q_ref, iterations = _conjugated_fixed_point(ss.array, ss.weights)
+        assert result.iterations == iterations
+        q = result.barycenter.array
+        assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
+
+    def test_estimators_at_q_n_decompose_no_stack(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(40)])
+        q_n = solve_barycenter(ss).barycenter
+        stacks = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _original=original, **kwargs):
+                if np.ndim(a) > 2 and np.prod(np.shape(a)[:-2]) > 1:
+                    stacks.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        basis = standard_basis(3)
+        estimate_sigma_hat(ss, q_n, basis)
+        estimate_f_hat(ss, q_n, basis)
+        assert stacks == []
 
 
 class TestConstrainedSolver:
@@ -386,3 +461,9 @@ class TestSolverConfig:
             SolverConfig(tol_residual=0.0)
         with pytest.raises(ValidationError):
             SolverConfig(step_rule="newton")
+        with pytest.raises(ValidationError, match="max_iter"):
+            SolverConfig(max_iter="5")
+        with pytest.raises(ValidationError, match="max_iter"):
+            SolverConfig(max_iter=2.5)
+        with pytest.raises(ValidationError, match="tol_residual"):
+            SolverConfig(tol_residual="x")

@@ -227,6 +227,25 @@ class TestSimulate:
         assert code == 1
         assert "unknown" in err
 
+    @pytest.mark.parametrize("cfg", [
+        {"d": "3"}, {"d": 2, "n_grid": 5}, {"d": 2, "eig_law": 5},
+        {"d": 2, "seed": -1}, {"d": 2, "solver_max_iter": "5"}, {"d": 2, "solver_tol": "x"},
+    ], ids=["d-string", "n_grid-number", "eig_law-number", "seed-negative",
+            "max_iter-string", "tol-string"])
+    def test_ill_typed_config_is_exit_1(self, capsys, tmp_path, cfg):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "simulate", "--config", tmp_path / "cfg.json",
+                               "--out", tmp_path / "r.json")
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_seed_override_is_exit_1(self, capsys, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"d": 2}))
+        code, _, err = run_cli(capsys, "simulate", "--config", tmp_path / "cfg.json",
+                               "--out", tmp_path / "r.json", "--seed", "-1")
+        assert code == 1 and "seed" in err
+
 
 class TestEnvelope:
     def test_v_worked_example(self, capsys):

@@ -63,6 +63,11 @@ class TestPsdMatrix:
         with pytest.raises(ValidationError, match="must be numbers"):
             PsdMatrix([["a"]])
 
+    @pytest.mark.parametrize("ragged", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]])
+    def test_rejects_ragged(self, ragged):
+        with pytest.raises(DimensionMismatchError, match="ragged"):
+            PsdMatrix(ragged)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             PsdMatrix(np.ones((2, 3)))

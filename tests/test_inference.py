@@ -284,8 +284,8 @@ class TestSharedPrep:
         assert all(results)
 
     def test_replicate_decomposition_count(self, monkeypatch):
-        # SampleSet validation, three fixed-point evaluations, the roots and one
-        # shared prep for Sigma-hat and F-hat; the rest are single d x d matrices.
+        # SampleSet validation, the roots and three solver evaluations, the last
+        # of which Sigma-hat and F-hat share; the rest are single d x d matrices.
         n = 1000
         stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
         counted = []
@@ -302,7 +302,7 @@ class TestSharedPrep:
         basis = standard_basis(3)
         estimate_sigma_hat(ss, q_n, basis)
         estimate_f_hat(ss, q_n, basis)
-        assert sum(counted) <= 6 * n + 10
+        assert sum(counted) <= 5 * n + 10
 
 
 class TestXiHat:

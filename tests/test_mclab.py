@@ -66,6 +66,10 @@ class TestRandomSpd:
             random_spd(2, (0.0, 1.0), rng)
         with pytest.raises(ValidationError):
             random_spd(2, (2.0, 1.0), rng)
+        with pytest.raises(ValidationError):
+            random_spd(2, 5.0, rng)
+        with pytest.raises(ValidationError):
+            random_spd(2, (float("nan"), 1.0), rng)
 
 
 class TestConfig:
@@ -78,6 +82,11 @@ class TestConfig:
             ExperimentConfig(d=2, eig_law=(0.0, 1.0))
         with pytest.raises(ValidationError):
             ExperimentConfig(d=2, constraint="bogus")
+        for bad in ({"d": "3"}, {"d": 2.0}, {"d": 2, "n_grid": 5}, {"d": 2, "n_grid": (3.5,)},
+                    {"d": 2, "eig_law": 5}, {"d": 2, "eig_law": (1.0, 2.0, 3.0)},
+                    {"d": 2, "seed": -1}, {"d": 2, "solver_tol": "x"}):
+            with pytest.raises(ValidationError):
+                ExperimentConfig(**bad)
         with pytest.raises(ValidationError):
             ExperimentConfig(d=2, sampling="other")
 
