@@ -50,7 +50,6 @@ from .hermitian import (
     sqrt_psd,
     standard_basis,
     vectorize,
-    whitened_basis,
 )
 from .inference import (
     CltReport,

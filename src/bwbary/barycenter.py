@@ -17,7 +17,7 @@ from .exceptions import (
     PositivityLossError,
     ValidationError,
 )
-from .geometry import TransportPrep, _d2_stack, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack
+from .geometry import TransportPrep, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack
 from .hermitian import (
     PD_REL_TOL,
     PsdMatrix,
@@ -26,7 +26,9 @@ from .hermitian import (
     _coords,
     _psd_stack,
     as_psd,
+    devectorize,
     hermitian_part,
+    project_subspace,
     standard_basis,
 )
 
@@ -120,6 +122,15 @@ class SampleSet:
             cached = self._prep = (key, _transport_stack(q, self.roots))
         return cached[1]
 
+    @property
+    def mean_trace(self) -> float:
+        return float(np.dot(self.weights, np.real(np.trace(self.array, axis1=1, axis2=2))))
+
+    def sq_distances(self, q: np.ndarray) -> np.ndarray:
+        """d^2(Q, S_i) = tr Q + tr S_i - 2 sum_a sqrt(lam_ia) >= 0 from the prep at Q."""
+        d2 = np.real(np.trace(q)) + np.real(np.trace(self.array, axis1=1, axis2=2))
+        return np.clip(d2 - 2.0 * np.sqrt(self.transport_prep(q).lam).sum(axis=1), 0.0, None)
+
 
 def as_sample_set(value, weights=None) -> SampleSet:
     if isinstance(value, SampleSet):
@@ -127,6 +138,11 @@ def as_sample_set(value, weights=None) -> SampleSet:
             raise ValidationError("cannot re-weight an existing SampleSet")
         return value
     return SampleSet(value, weights=weights)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """isinstance(value, kind), with bool (JSON's true and false) excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -143,9 +159,9 @@ class SolverConfig:
     step_rule: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_number(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not isinstance(self.tol_residual, numbers.Real) or not self.tol_residual > 0:
+        if not _is_number(self.tol_residual) or not self.tol_residual > 0:
             raise ValidationError(f"tol_residual must be a number > 0, got {self.tol_residual!r}")
         if self.step_rule not in (None, "fixed-point", "affine-newton"):
             raise ValidationError(f"unknown step rule {self.step_rule!r}")
@@ -164,12 +180,15 @@ class BarycenterResult:
 
 
 def frechet_variance(q, samples, weights=None) -> float:
-    """Weighted mean squared Bures-Wasserstein distance to the samples."""
+    """Weighted mean squared Bures-Wasserstein distance to the samples, from
+    the prep at Q by the solver's formula: bitwise the result's variance at a
+    returned barycenter, and no decomposition after an estimator at Q."""
     ss = as_sample_set(samples, weights)
     qm = as_psd(q)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
-    return float(max(np.dot(ss.weights, _d2_stack(qm.array, ss.array)), 0.0))
+    lam = ss.transport_prep(qm.array).lam
+    return max(_variance_at(qm.array, lam, ss.weights, ss.mean_trace), 0.0)
 
 
 def residual(q, samples, basis: SubspaceBasis | None = None, weights=None) -> float:
@@ -194,15 +213,14 @@ def _append_variance(variances, variance, mean_trace, rule, it):
     variances.append(variance)
 
 
-def _eigh_pd(mat, floor):
-    w, v = np.linalg.eigh(mat)
-    if not w[0] > floor * max(float(w[-1]), 0.0):
-        return None
-    return w, v
+def _is_pd(mat) -> bool:
+    w = np.linalg.eigh(mat)[0]
+    return bool(w[0] > PD_REL_TOL * max(float(w[-1]), 0.0))
 
 
-def _variance_at(q, root_sums, weights, mean_trace: float) -> float:
-    """Fréchet variance at Q from the sums of sqrt(eig(S_i^{1/2} Q S_i^{1/2}))."""
+def _variance_at(q, lam, weights, mean_trace: float) -> float:
+    """Fréchet variance at Q from the prep spectrum lam_i = eig(S_i^{1/2} Q S_i^{1/2})."""
+    root_sums = np.sqrt(lam).sum(axis=1)
     return float(np.real(np.trace(q))) + mean_trace - 2.0 * float(np.dot(weights, root_sums))
 
 
@@ -214,15 +232,13 @@ def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
 def _ridge_to_pd(anchor, basis, d, dtype):
     """Move the anchor inside the PD cone along Pi_M(I - Q0), doubling the ridge."""
     q0 = anchor.array.astype(dtype)
-    direction = np.einsum(
-        "k,kab->ab", _coords(basis, np.eye(d, dtype=dtype) - q0), basis.basis
-    )
+    direction = project_subspace(basis, np.eye(d, dtype=dtype) - q0)
     if np.linalg.norm(direction) < 1e-14:
         raise PositivityLossError("anchor is singular and cannot be ridged inside A")
     eps = 1e-3 * max(1.0, float(np.real(np.trace(q0))) / d)
     for _ in range(MAX_STEP_HALVINGS):
         candidate = hermitian_part(q0 + eps * direction)
-        if _eigh_pd(candidate, PD_REL_TOL) is not None:
+        if _is_pd(candidate):
             return candidate
         eps *= 2.0
     raise PositivityLossError("could not find a strictly positive point in A")
@@ -239,7 +255,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
     """
     weights, d = ss.weights, ss.dim
     rule = "fixed-point" if basis is None else "affine-newton"
-    mean_trace = float(np.dot(weights, np.real(np.trace(ss.array, axis1=1, axis2=2))))
+    mean_trace = ss.mean_trace
     q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
     if basis is not None:
         anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
@@ -250,14 +266,14 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
     history = []
     variances = []
     for it in range(cfg.max_iter + 1):
-        if basis is None and _eigh_pd(q, PD_REL_TOL) is None:
+        if basis is None and not _is_pd(q):
             raise PositivityLossError("fixed-point iterate lost strict positivity")
         prep = ss.transport_prep(q)  # a hit when a Newton step was accepted
         mean_t = np.einsum("n,nij->ij", weights, prep.t)
         gap = mean_t - np.eye(d, dtype=mean_t.dtype)
         coords = gap if basis is None else _coords(basis, gap)
         res = float(np.linalg.norm(coords))
-        variance = _variance_at(q, np.sqrt(prep.lam).sum(axis=1), weights, mean_trace)
+        variance = _variance_at(q, prep.lam, weights, mean_trace)
         history.append(res)
         _append_variance(variances, variance, mean_trace, rule, it)
         if res <= cfg.tol_residual:
@@ -275,7 +291,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
             delta = None
         if delta is None or not (np.all(np.isfinite(delta)) and coords @ delta > 0):
             raise _stalled(f"Newton system is singular at iteration {it}", res, it)
-        direction = np.einsum("k,kab->ab", delta, basis.basis)
+        direction = devectorize(basis, delta)
         # Armijo: V falls by ARMIJO_FRACTION of -<grad V, step> = step coords.delta,
         # up to roundoff
         bound = variance + VARIANCE_REL_SLACK * mean_trace
@@ -283,9 +299,9 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
         step = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             candidate = hermitian_part(q + step * direction)
-            if _eigh_pd(candidate, PD_REL_TOL) is not None:
-                sums = np.sqrt(ss.transport_prep(candidate).lam).sum(axis=1)
-                if _variance_at(candidate, sums, weights, mean_trace) <= bound - step * slope:
+            if _is_pd(candidate):
+                lam = ss.transport_prep(candidate).lam
+                if _variance_at(candidate, lam, weights, mean_trace) <= bound - step * slope:
                     break
             step /= 2.0
         else:

@@ -101,9 +101,9 @@ def _cmd_infer(args) -> None:
     samples = load_bundle(args.bundle)
     q_star = _load_single(args.qstar)
     basis = standard_basis(samples.dim, mode=samples.mode, kind=args.basis)
-    v_star = frechet_variance(q_star, samples)
-    report = clt_report(samples, q_star, basis, v_ref=v_star)
     eta, bound = eta_n_diagnostic(samples, q_star, basis)
+    v_star = frechet_variance(q_star, samples)  # reads the prep eta left at Q*
+    report = clt_report(samples, q_star, basis, v_ref=v_star)
     _emit({
         "n": report.n,
         "sigma_eigenvalues": report.sigma_hat.eigenvalues().tolist(),
@@ -121,8 +121,9 @@ def _cmd_infer(args) -> None:
 def _cmd_simulate(args) -> None:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=args.config, line=exc.lineno)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ParseError(f"invalid JSON: {exc}", path=args.config,
+                         line=getattr(exc, "lineno", None)) from None
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object", path=args.config)
     kind = raw.pop("kind", "clt")

@@ -169,15 +169,6 @@ def _psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
     return _spectral(*np.linalg.eigh(mats), _clipped_sqrt)
 
 
-def _d2_stack(q: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Squared distances d^2(Q, S_i) from Q to every S_i, clipped at 0."""
-    root = _psd_sqrt_stack(q)
-    lam = np.linalg.eigvalsh(root @ stack @ root)
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    d2 = np.real(np.trace(q)) + traces - 2.0 * _clipped_sqrt(lam).sum(axis=1)
-    return np.clip(d2, 0.0, None)
-
-
 class TransportPrep(NamedTuple):
     """Maps t = T_Q^{S_i} and the data of dT_i(X) = -G (w2 * G^* X G) G^*, with
     G = S_i^{1/2} V from S_i^{1/2} Q S_i^{1/2} = V diag(lam) V^*, lam ascending."""

@@ -295,13 +295,6 @@ class SubspaceBasis:
         )
 
 
-def _check_ambient(basis: SubspaceBasis, x: np.ndarray):
-    if x.shape != (basis.dim_ambient, basis.dim_ambient):
-        raise DimensionMismatchError(
-            f"matrix shape {x.shape} does not match ambient dimension {basis.dim_ambient}"
-        )
-
-
 def _coords(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
     """Coordinates <B_k, X> of a matrix or of every matrix in a stack, unchecked."""
     return np.real(np.einsum("kab,...ab->...k", np.conjugate(basis.basis), mats))
@@ -310,7 +303,9 @@ def _coords(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
 def vectorize(basis: SubspaceBasis, x) -> np.ndarray:
     """Coordinates v_k = <B_k, X> of (the projection of) X in the basis."""
     arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
-    _check_ambient(basis, arr)
+    if arr.shape != (basis.dim_ambient, basis.dim_ambient):
+        raise DimensionMismatchError(
+            f"matrix shape {arr.shape} does not match ambient dimension {basis.dim_ambient}")
     return _coords(basis, arr)
 
 
@@ -392,28 +387,6 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
     raise ValidationError(f"unknown basis kind {kind!r}")
 
 
-def whitened_basis(basis: SubspaceBasis, q) -> SubspaceBasis:
-    """Orthonormal basis of Q^{-1/2} M Q^{-1/2} for strictly positive Q.
-
-    Images of the basis elements under the congruence are re-orthonormalized
-    with a deterministic modified Gram-Schmidt pass.
-    """
-    mat = as_psd(q, require_pd=True)
-    if mat.dim != basis.dim_ambient:
-        raise DimensionMismatchError("Q dimension does not match basis")
-    inv_root = _spectral(*np.linalg.eigh(mat.array), _inv_sqrt)
-    images = inv_root @ basis.basis @ inv_root
-    out = []
-    for raw in hermitian_part(images):
-        for done in out:
-            raw = raw - frobenius_inner(done, raw) * done
-        norm = np.linalg.norm(raw)
-        if norm < 1e-13:
-            raise ValidationError("whitened basis lost rank")
-        out.append(raw / norm)
-    return SubspaceBasis(np.stack(out), mode=basis.mode)
-
-
 class OperatorOnM:
     """Self-adjoint operator on a subspace M, materialized in basis coordinates."""
 
@@ -426,8 +399,8 @@ class OperatorOnM:
             raise DimensionMismatchError(
                 f"operator matrix shape {arr.shape} does not match basis size {m}"
             )
-        gap = np.max(np.abs(arr - arr.T)) if m else 0.0
-        if gap > 1e-10 * max(1.0, float(np.max(np.abs(arr)))):
+        gap = np.max(np.abs(arr - arr.T))
+        if gap > 1e-10 * float(np.max(np.abs(arr))):
             raise ValidationError(f"operator matrix is not symmetric (gap {gap:.3e})")
         sym = (arr + arr.T) / 2
         sym.setflags(write=False)

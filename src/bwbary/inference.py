@@ -9,6 +9,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .barycenter import SolverConfig, as_sample_set, frechet_variance, solve_barycenter
 from .exceptions import (
@@ -16,14 +17,7 @@ from .exceptions import (
     DimensionMismatchError,
     ValidationError,
 )
-from .geometry import (
-    _d2_stack,
-    _dt_apply,
-    _f_hat_from_prep,
-    _psd_sqrt_stack,
-    _transport_stack,
-    bw_distance,
-)
+from .geometry import _dt_apply, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack, bw_distance
 from .hermitian import (
     OperatorOnM,
     PsdMatrix,
@@ -35,8 +29,9 @@ from .hermitian import (
     as_psd,
     devectorize,
     hermitian_part,
+    project_subspace,
+    standard_basis,
     vectorize,
-    whitened_basis,
 )
 
 logger = logging.getLogger(__name__)
@@ -80,24 +75,17 @@ def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     return OperatorOnM(basis, mat)
 
 
-def estimate_f_hat(samples, q, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:
+def estimate_f_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     """Negated mean transport differential -sum_i w_i dT_Q^{S_i} on M.
 
-    With rescaled=True the operator is conjugated by Q^{1/2} and materialized
-    on an orthonormal basis of Q^{-1/2} M Q^{-1/2} (the F' form used by the
-    self-normalized residual diagnostics).  Positive definite whenever some
-    sample is strictly positive.
+    Positive definite whenever some sample is strictly positive.  The rescaled
+    F' of `eta_n_diagnostic` has its generalized spectrum against a Gram matrix.
     """
     ss = as_sample_set(samples)
     qm = as_psd(q, require_pd=True)
     _check_dims(qm, ss, basis)
     prep = ss.transport_prep(qm.array)
-    if not rescaled:
-        return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
-    white = whitened_basis(basis, qm)
-    q_root = _psd_sqrt_stack(qm.array)
-    elements = q_root @ white.basis @ q_root
-    return OperatorOnM(white, _f_hat_from_prep(prep, ss.weights, elements))
+    return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
 
 
 def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarray:
@@ -126,7 +114,8 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     """Studentized coordinates sqrt(n) Xi^{-1/2} (Q_n - Q_ref) on M.
 
     Asymptotically standard normal under the barycenter CLT.  A difference
-    with a component outside M is projected with a warning.
+    with a component outside M beyond roundoff, relative to ||Q_n|| and
+    ||Q_ref||, is projected with a warning.
     """
     qn = as_psd(q_n)
     qr = as_psd(q_ref)
@@ -135,7 +124,7 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     diff = qn.array - qr.array
     coords = vectorize(basis, diff)
     off = float(np.linalg.norm(diff - devectorize(basis, coords)))
-    if off > 1e-8 * max(1.0, float(np.linalg.norm(diff))):
+    if off > 1e-8 * max(float(np.linalg.norm(qn.array)), float(np.linalg.norm(qr.array))):
         logger.warning(
             "Q_n - Q_ref has a component of norm %.3e outside M; projecting", off
         )
@@ -156,7 +145,7 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     if count < 1:
         raise ValidationError("count must be >= 1")
     w, v = np.linalg.eigh(xi.matrix)
-    if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0, 1.0):
+    if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0):
         raise ValidationError("xi must be PSD")
     half = _spectral(w, v, _clipped_sqrt)
     g = rng.standard_normal((xi.dim_m, count))
@@ -184,7 +173,7 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     result = solve_barycenter(ss, config=config)
     v_n = result.variance
     stat = float(np.sqrt(n) * (v_n - v_ref))
-    d2 = _d2_stack(qr.array, ss.array)
+    d2 = ss.sq_distances(qr.array)
     mean = float(np.dot(ss.weights, d2))
     var_hat = float(np.dot(ss.weights, (d2 - mean) ** 2))
     if ddof == 1:
@@ -192,22 +181,36 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     return v_n, stat, var_hat
 
 
+def _f_prime_spectrum(ss, q: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+    """Ascending spectrum of F' = -sum_i w_i dt_i on Q^{-1/2} M Q^{-1/2}.  With
+    C_k = Q^{-1/2} B_k Q^{-1/2}, <C_k, -dt(C_l)> is F-hat_kl on the prep at Q, so this
+    is the spectrum of the pencil (F-hat, G), G_kl = <C_k, C_l>."""
+    inv_root = _spectral(*np.linalg.eigh(q), _inv_sqrt)
+    c = (inv_root @ basis.basis @ inv_root).reshape(basis.dim_m, -1)
+    gram = np.real(np.conjugate(c) @ c.T)
+    f_hat = _f_hat_from_prep(ss.transport_prep(q), ss.weights, basis.basis)
+    try:
+        return scipy.linalg.eigh(f_hat, gram, eigvals_only=True)
+    except np.linalg.LinAlgError:  # G, whose condition is cond(Q)^2, failed Cholesky
+        raise DegenerateCovarianceError("Q is too ill-conditioned to form F'") from None
+
+
 def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     """Self-normalized residual eta and the bound it implies on ||Q'_n - I||_F.
 
     eta = ||Q*^{1/2} Pi_M(mean T - I) Q*^{1/2}||_F / lambda_min(F'),
-    bound = eta / (1 - 3 eta / 4) when eta < 4/3, else None.
+    bound = eta / (1 - 3 eta / 4) when eta < 4/3, else None.  The residual
+    and F' read the prep at Q*, which a later `frechet_variance` at Q* reuses.
     """
     ss = as_sample_set(samples)
     qm = as_psd(q_star, require_pd=True)
     _check_dims(qm, ss, basis)
     t = ss.transport_prep(qm.array).t
     mean_t = np.einsum("n,nij->ij", ss.weights, t)
-    projected = devectorize(basis, _coords(basis, mean_t - np.eye(ss.dim, dtype=t.dtype)))
+    projected = project_subspace(basis, mean_t - np.eye(ss.dim, dtype=t.dtype))
     q_root = _psd_sqrt_stack(qm.array)
     numerator = float(np.linalg.norm(q_root @ projected @ q_root))
-    f_prime = estimate_f_hat(ss, qm, basis, rescaled=True)
-    lam = f_prime.eigenvalues()
+    lam = _f_prime_spectrum(ss, qm.array, basis)
     if not lam[0] > XI_RANK_TOL * max(float(lam[-1]), 0.0):
         raise DegenerateCovarianceError(
             f"F' is singular (lambda_min = {lam[0]:.3e}); eta is undefined"
@@ -226,8 +229,6 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     beta = cond(Q*) (mean ||S_i|| / ||Q*||)^{1/2} ||Q'_n - I||_F.
     Requires ||Q'_n - I|| <= 1/2 in operator norm.
     """
-    from .hermitian import standard_basis
-
     ss = as_sample_set(samples)
     qs = as_psd(q_star, require_pd=True)
     qn = as_psd(q_n, require_pd=True)
@@ -243,22 +244,16 @@ def sigma_perturbation_bound(samples, q_star, q_n):
             f"||Q'_n - I|| = {gap_op:.3f} > 1/2; the perturbation bound needs"
             " Q_n in the 1/2-neighborhood of Q*"
         )
-    mode = ss.mode
-    basis = standard_basis(ss.dim, mode=mode, kind="full")
-    eye = np.eye(ss.dim, dtype=ss.array.dtype)
-    t_star = _transport_stack(qs.array, ss.roots).t
-    t_n = _transport_stack(qn.array, ss.roots).t
-    coords_star = _coords(basis, t_star - eye)
-    coords_n = _coords(basis, t_n - eye)
-    sigma_star = np.einsum("n,nk,nl->kl", ss.weights, coords_star, coords_star)
-    sigma_n = np.einsum("n,nk,nl->kl", ss.weights, coords_n, coords_n)
+    basis = standard_basis(ss.dim, mode=ss.mode, kind="full")
+    sigma_star = estimate_sigma_hat(ss, qs, basis).matrix
+    sigma_n = estimate_sigma_hat(ss, qn, basis).matrix
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(sigma_n - sigma_star))))
     sample_norms = np.abs(np.linalg.eigvalsh(ss.array)).max(axis=1)
     kappa = float(w[-1] / w[0])
     beta = kappa * np.sqrt(float(np.dot(ss.weights, sample_norms)) / float(w[-1]))
     beta *= float(np.linalg.norm(gap))
-    mean_sq = float(np.dot(ss.weights, np.sum(np.abs(t_star - eye) ** 2, axis=(1, 2))))
-    rhs = beta * (2.0 * np.sqrt(mean_sq) + beta)
+    # on a full orthonormal basis, tr Sigma = mean ||T_i - I||_F^2
+    rhs = beta * (2.0 * np.sqrt(np.trace(sigma_star)) + beta)
     return lhs, rhs
 
 

@@ -209,13 +209,8 @@ def scale_location_barycenter(measures, weights=None,
     measures = list(measures)
     if not measures:
         raise ValidationError("need at least one measure")
-    n = len(measures)
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-    mean = np.einsum("n,nd->d", w, np.stack([m.mean for m in measures]))
     covs = SampleSet([m.covariance.array for m in measures], weights=weights)
+    mean = np.einsum("n,nd->d", covs.weights, np.stack([m.mean for m in measures]))
     result = solve_barycenter(covs, config=config)
     return LocationScaleMeasure(mean, result.barycenter)
 
@@ -237,24 +232,30 @@ def validate_report(data: dict) -> None:
         raise ValidationError(f"report does not match {SCHEMA_NAME}: {exc.message}")
 
 
+def _reject_constant(name):
+    raise ValidationError(f"report holds the non-finite number {name}")
+
+
 def save_report(report, path) -> None:
     """Serialize a SimulationReport (or its dict form) as schema-valid JSON.
 
     The byte stream is a pure function of the report contents, so identical
-    runs produce identical files.
+    runs produce identical files.  A non-finite number, which JSON cannot
+    hold, is a ValidationError and no file is written.
     """
     data = report.to_dict() if hasattr(report, "to_dict") else report
     validate_report(data)
-    Path(path).write_text(
-        json.dumps(data, separators=(",", ":"), sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
+    try:
+        text = json.dumps(data, separators=(",", ":"), sort_keys=False, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"report holds a non-finite number: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_report(path) -> dict:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=path, line=exc.lineno) from exc
     validate_report(data)

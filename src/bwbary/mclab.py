@@ -13,14 +13,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .barycenter import SampleSet, SolverConfig, solve_barycenter
+from .barycenter import SampleSet, SolverConfig, _is_number, solve_barycenter
 from .exceptions import (
     DegenerateCovarianceError,
     ExperimentFailureError,
     NumericalError,
     ValidationError,
 )
-from .geometry import _d2_stack, _psd_sqrt_stack, bw_distance
+from .geometry import _psd_sqrt_stack, bw_distance
 from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral, hermitian_part,
                         standard_basis)
 from .inference import estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
@@ -65,25 +65,23 @@ def _map_ordered(fn, items):
 
 
 def _check_count(name: str, value, low: int = 1) -> None:
-    if not isinstance(value, numbers.Integral) or value < low:
+    if not _is_number(value, numbers.Integral) or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _checked_law(d, eig_law, u_mode) -> tuple:
     """The checked law of a random SPD draw: dimension d, eigenvalues uniform
-    on eig_law = (a, b) with 0 < a <= b, and frame u_mode; returns (a, b)."""
+    on eig_law = (a, b) with 0 < a <= b < inf, and frame u_mode; returns (a, b)."""
     _check_count("d", d)
     try:
-        a, b = (float(x) for x in eig_law)
+        a, b = eig_law
     except (TypeError, ValueError):
-        raise ValidationError(f"eig_law must be a pair of numbers, got {eig_law!r}") from None
-    if not a > 0:
-        raise ValidationError("eigenvalue law must stay strictly positive (a > 0)")
-    if not a <= b:
-        raise ValidationError("eigenvalue law interval must have a <= b")
+        a = b = None
+    if not (_is_number(a) and _is_number(b) and 0 < a <= b < np.inf):
+        raise ValidationError(f"eig_law must be numbers 0 < a <= b < inf, got {eig_law!r}")
     if u_mode not in ("haar", "identity"):
         raise ValidationError(f"unknown u_mode {u_mode!r}")
-    return a, b
+    return float(a), float(b)
 
 
 @dataclass
@@ -354,7 +352,7 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
             derive_rng(config.seed, _DOMAIN_LIMIT_DBW))
     except DegenerateCovarianceError:
         logger.warning("population xi is degenerate; limit samples omitted")
-    var_d2 = float(np.var(_d2_stack(q_star.array, pool.array)))
+    var_d2 = float(np.var(pool.sq_distances(q_star.array)))  # the pool's prep is at Q*
     limit_samples["variance"] = np.sqrt(var_d2) * derive_rng(
         config.seed, _DOMAIN_LIMIT_VARIANCE).standard_normal(config.limit_draws)
 

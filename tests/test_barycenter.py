@@ -120,6 +120,16 @@ class TestFrechetVariance:
         ss = SampleSet([np.diag([4.0, 9.0]), np.diag([1.0, 4.0])], weights=[1.0, 0.0])
         assert frechet_variance(np.diag([1.0, 4.0]), ss) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("step_rule", ["fixed-point", "affine-newton"])
+    def test_equals_solver_variance_bitwise(self, step_rule):
+        # V at the returned barycenter is the solver's own value, whether the
+        # prep is reused or rebuilt on a fresh set
+        stack = _random_spd_stack(40, 3, (1.0, 5.0), np.random.default_rng(12))
+        ss = SampleSet(stack)
+        result = solve_barycenter(ss, config=SolverConfig(step_rule=step_rule))
+        assert frechet_variance(result.barycenter, ss) == result.variance
+        assert frechet_variance(result.barycenter, SampleSet(stack)) == result.variance
+
 
 class TestUnconstrainedSolver:
     def test_commuting_oracle(self):
@@ -467,3 +477,9 @@ class TestSolverConfig:
             SolverConfig(max_iter=2.5)
         with pytest.raises(ValidationError, match="tol_residual"):
             SolverConfig(tol_residual="x")
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": True}, {"max_iter": False},
+                                        {"tol_residual": True}])
+    def test_booleans_are_not_numbers(self, kwargs):
+        with pytest.raises(ValidationError):
+            SolverConfig(**kwargs)

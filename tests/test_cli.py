@@ -247,6 +247,56 @@ class TestSimulate:
         assert code == 1 and "seed" in err
 
 
+class TestConfigFuzz:
+    """Mutants of a small valid config end in exit 1 or 2 with a one-line
+    error, never a traceback: wrong types (booleans included), zero or
+    negative values, unknown keys, truncations and bytes that are not UTF-8.
+    No mutant raises a count, so one that passed validation would still
+    finish quickly."""
+
+    COUNTS = ("d", "replicates", "pop_proxy_size", "limit_draws", "histogram_bins",
+              "kde_grid_points", "solver_max_iter")
+    WRONG_TYPES = (True, False, None, "2", [2], {"a": 2}, 2.5)
+    BASES = (
+        {"kind": "clt", "d": 2, "n_grid": [3, 4], "replicates": 2, "pop_proxy_size": 20,
+         "limit_draws": 10, "histogram_bins": 4, "kde_grid_points": 8, "solver_max_iter": 50,
+         "solver_tol": 1e-10, "seed": 1, "eig_law": [1.0, 2.0], "u_mode": "haar",
+         "sampling": "pool"},
+        {"kind": "concentration", "d": 2, "n_grid": [3, 4], "replicates": 2,
+         "pop_proxy_size": 20, "constraint": "traceless-trace1", "seed": 1},
+    )
+
+    @classmethod
+    def mutants(cls, base):
+        bad = {key: cls.WRONG_TYPES + (0, -1) for key in cls.COUNTS}
+        bad["seed"] = cls.WRONG_TYPES + (-1,)
+        bad["solver_tol"] = (True, False, None, "x", [1e-10], {}, 0, -1, float("nan"))
+        bad["n_grid"] = (True, None, "3", 3, [], [True], [0], [-1], [2.5], [4, 3], {})
+        bad["eig_law"] = (True, None, "12", 1.0, [], [1.0], [True, 2.0], [0, 2], [-1, 2],
+                          [2, 1], [1, 2, 3], ["1", "2"], [1.0, float("inf")])
+        for key in ("kind", "constraint", "u_mode", "sampling"):
+            bad[key] = (True, 1, "bogus", [], {})
+        for key, values in bad.items():
+            for value in values:
+                yield json.dumps({**base, key: value}).encode()
+        yield json.dumps({**base, "bogus": 1}).encode()
+        yield json.dumps({k: v for k, v in base.items() if k != "d"}).encode()
+        raw = json.dumps(base).encode()
+        for cut in range(len(raw)):
+            yield raw[:cut]
+        yield b"\xff" + raw
+
+    @pytest.mark.parametrize("base", BASES, ids=["clt", "concentration"])
+    def test_simulate_exits_1_or_2(self, tmp_path, capsys, base):
+        path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        for mutant in self.mutants(base):
+            path.write_bytes(mutant)
+            code, _, err = run_cli(capsys, "simulate", "--config", path, "--out", out)
+            assert code in (1, 2), mutant
+            assert err.startswith("error: ") and "Traceback" not in err, mutant
+            assert not out.exists(), mutant
+
+
 class TestEnvelope:
     def test_v_worked_example(self, capsys):
         code, out, _ = run_cli(capsys, "envelope", "--kind", "v", "--b", "1", "--nu", "1",

@@ -17,7 +17,6 @@ from bwbary import (
     sqrt_psd,
     standard_basis,
     vectorize,
-    whitened_basis,
 )
 from bwbary.hermitian import OperatorOnM, frobenius_inner
 
@@ -266,27 +265,20 @@ class TestProjectionAndCoordinates:
             vectorize(standard_basis(2), np.eye(3))
 
 
-class TestWhitenedBasis:
-    def test_orthonormal_and_spans_congruence(self):
-        rng = np.random.default_rng(10)
-        q = rand_spd(rng, 3)
-        basis = standard_basis(3, kind="traceless")
-        white = whitened_basis(basis, q)
-        assert white.dim_m == basis.dim_m
-        gram = np.einsum("kab,lab->kl", white.basis, white.basis)
-        assert np.allclose(gram, np.eye(white.dim_m), atol=1e-10)
-        # every whitened element maps back into M under the congruence by Q^{1/2}
-        root = sqrt_psd(q).array
-        for c in white.basis:
-            y = root @ c @ root
-            assert np.linalg.norm(project_subspace(basis, y) - y) <= 1e-10
-
-
 class TestOperatorOnM:
     def test_symmetry_enforced(self):
         basis = standard_basis(2)
         with pytest.raises(ValidationError):
             OperatorOnM(basis, np.array([[1.0, 2.0, 0], [0.0, 1.0, 0], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_symmetry_check_is_scale_free(self, scale):
+        basis = standard_basis(2)
+        with pytest.raises(ValidationError):
+            OperatorOnM(basis, scale * np.array([[1.0, 2.0, 0], [0.0, 1.0, 0], [0, 0, 1]]))
+        nearly = scale * (np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1))
+        assert np.array_equal(OperatorOnM(basis, nearly).matrix,
+                              (nearly + nearly.T) / 2)
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(11)

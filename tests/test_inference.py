@@ -34,12 +34,44 @@ from bwbary import (
     vectorize,
 )
 from bwbary.geometry import F_HAT_CHUNK
-from bwbary.inference import XI_RANK_TOL
+from bwbary.inference import XI_RANK_TOL, _f_prime_spectrum
 from bwbary.mclab import _random_spd_stack
 
 from helpers import rand_hermitian, rand_orthogonal, rand_spd, rand_unitary
 
 SCALAR_BASIS = SubspaceBasis(np.ones((1, 1, 1)))
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+def _orthonormal_congruence(basis, q):
+    """A Frobenius-orthonormal basis of Q^{-1/2} M Q^{-1/2}, by QR of the real
+    coordinates of the images Q^{-1/2} B_k Q^{-1/2}."""
+    w, v = np.linalg.eigh(q)
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    images = inv_root @ basis.basis @ inv_root
+    images = (images + np.conj(np.swapaxes(images, 1, 2))) / 2
+    flat = images.reshape(basis.dim_m, -1)
+    real = np.concatenate([flat.real, flat.imag], axis=1) if np.iscomplexobj(flat) else flat
+    ortho = np.linalg.qr(real.T)[0].T
+    if np.iscomplexobj(flat):
+        half = flat.shape[1]
+        ortho = ortho[:, :half] + 1j * ortho[:, half:]
+    return SubspaceBasis(ortho.reshape(images.shape), mode=basis.mode)
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """Patch numpy's eigh and eigvalsh to record how many matrices each call
+    decomposes; returns the list the counts go to."""
+    counted = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _original=original, **kwargs):
+            counted.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counted
 
 
 def scalar_set(values):
@@ -137,20 +169,20 @@ class TestFHat:
         # d = 1 with a single sample: F' equals the -dt eigenvalue
         # 0.5 * sqrt(lambda(S^{1/2} Q S^{1/2})) = 0.5 * sqrt(s q)
         q, s = 4.0, 9.0
-        op = estimate_f_hat(scalar_set([s]), np.array([[q]]), SCALAR_BASIS, rescaled=True)
-        assert op.matrix[0, 0] == pytest.approx(0.5 * np.sqrt(s * q))
+        lam = _f_prime_spectrum(scalar_set([s]), np.array([[q]]), SCALAR_BASIS)
+        assert lam[0] == pytest.approx(0.5 * np.sqrt(s * q))
 
     def test_rescaled_matches_direct_application(self):
-        # slow reference: <C_k, Q^{1/2} (-mean dT)(Q^{1/2} C_l Q^{1/2}) Q^{1/2}>
-        from bwbary import sqrt_psd, whitened_basis
+        # slow reference on an orthonormal basis C of Q^{-1/2} M Q^{-1/2}:
+        # <C_k, Q^{1/2} (-mean dT)(Q^{1/2} C_l Q^{1/2}) Q^{1/2}>
+        from bwbary import sqrt_psd
         from bwbary.hermitian import frobenius_inner
 
         rng = np.random.default_rng(30)
         basis = standard_basis(3, kind="traceless")
         q = rand_spd(rng, 3)
         mats = [rand_spd(rng, 3) for _ in range(4)]
-        fast = estimate_f_hat(SampleSet(mats), q, basis, rescaled=True)
-        white = whitened_basis(basis, q)
+        white = _orthonormal_congruence(basis, q)
         root = sqrt_psd(q).array
         m = white.dim_m
         slow = np.zeros((m, m))
@@ -161,14 +193,32 @@ class TestFHat:
             image = root @ image @ root
             for k in range(m):
                 slow[k, l] = frobenius_inner(white.basis[k], image)
-        assert np.allclose(fast.matrix, slow, atol=1e-10)
+        oracle = -np.mean([operator_matrix(dt, white, rescaled=True).matrix for dt in diffs],
+                          axis=0)
+        assert np.allclose(oracle, slow, atol=1e-10)
+        lam = _f_prime_spectrum(SampleSet(mats), q, basis)
+        assert np.allclose(lam, np.linalg.eigvalsh(slow), atol=1e-10)
+
+    @pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["full", "traceless"])
+    def test_rescaled_spectrum_on_each_basis(self, kind, complex_mode):
+        # the pencil (F-hat, G) against F' materialized on an orthonormal basis
+        rng = np.random.default_rng(31)
+        mode = "complex" if complex_mode else "real"
+        basis = standard_basis(3, mode=mode, kind=kind)
+        q = rand_spd(rng, 3, complex_mode=complex_mode)
+        mats = [rand_spd(rng, 3, complex_mode=complex_mode) for _ in range(4)]
+        white = _orthonormal_congruence(basis, q)
+        oracle = -np.mean([operator_matrix(transport_differential(q, s), white,
+                                           rescaled=True).matrix for s in mats], axis=0)
+        lam = _f_prime_spectrum(SampleSet(mats), q, basis)
+        assert np.allclose(lam, np.linalg.eigvalsh(oracle), rtol=1e-12, atol=0)
 
     def test_rescaled_single_sample_matches_dt_spectrum(self):
         rng = np.random.default_rng(6)
         q, s = rand_spd(rng, 3), rand_spd(rng, 3)
         basis = standard_basis(3)
-        op = estimate_f_hat(SampleSet([s]), q, basis, rescaled=True)
-        lam = np.linalg.eigvalsh(op.matrix)
+        lam = _f_prime_spectrum(SampleSet([s]), q, basis)
         from bwbary import sqrt_psd
 
         ref = np.linalg.eigvalsh(sqrt_psd(s).array @ q @ sqrt_psd(s).array)
@@ -288,21 +338,28 @@ class TestSharedPrep:
         # of which Sigma-hat and F-hat share; the rest are single d x d matrices.
         n = 1000
         stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
-        counted = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(a, *args, _original=original, **kwargs):
-                counted.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        counted = _count_decompositions(monkeypatch)
         ss = SampleSet(stack)
         q_n = solve_barycenter(ss).barycenter
         basis = standard_basis(3)
         estimate_sigma_hat(ss, q_n, basis)
         estimate_f_hat(ss, q_n, basis)
         assert sum(counted) <= 5 * n + 10
+
+    def test_infer_decomposition_count(self, monkeypatch, tmp_path, capsys):
+        # the bundle's gate and roots, one prep at Q* that eta and V share, and
+        # three solver evaluations, the last of which Sigma-hat and F-hat share
+        from bwbary import save_bundle
+        from bwbary.cli import main
+
+        n = 1000
+        stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
+        save_bundle(SampleSet(stack), tmp_path / "s.mat")
+        save_bundle(SampleSet([20.0 * np.eye(3)]), tmp_path / "q.mat")
+        counted = _count_decompositions(monkeypatch)
+        assert main(["infer", str(tmp_path / "s.mat"), "--qstar", str(tmp_path / "q.mat")]) == 0
+        capsys.readouterr()
+        assert sum(counted) <= 6 * n + 50
 
 
 class TestXiHat:
@@ -388,8 +445,32 @@ class TestStudentized:
         assert np.allclose(got, 0.0)
         assert any("outside M" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_off_subspace_warning_is_scale_free(self, caplog, scale):
+        import logging
+
+        basis = standard_basis(3, kind="traceless")
+        xi = OperatorOnM(basis, np.eye(basis.dim_m))
+        q_ref = scale * np.eye(3)
+        inside = scale * (np.eye(3) + 0.1 * basis.basis[0])
+        with caplog.at_level(logging.WARNING, logger="bwbary.inference"):
+            studentized_statistic(inside, q_ref, xi, basis, 4)
+            assert not caplog.records
+            studentized_statistic(1.1 * q_ref, q_ref, xi, basis, 4)  # 10% of Q, all off M
+        assert any("outside M" in rec.message for rec in caplog.records)
+
 
 class TestSampleLimitDbw:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_psd_check_is_scale_free(self, scale):
+        basis = standard_basis(2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="PSD"):
+            sample_limit_dbw(np.eye(2), OperatorOnM(basis, scale * np.diag([-1.0, 1.0, 1.0])),
+                             basis, 3, rng)
+        roundoff = OperatorOnM(basis, scale * np.diag([-1e-14, 1.0, 1.0]))
+        assert np.all(np.isfinite(sample_limit_dbw(np.eye(2), roundoff, basis, 3, rng)))
+
     def test_zero_xi(self):
         basis = standard_basis(2)
         xi = OperatorOnM(basis, np.zeros((3, 3)))
@@ -475,6 +556,25 @@ class TestEtaDiagnostic:
         eta, bound = eta_n_diagnostic(scalar_set([1.0]), np.array([[100.0]]), SCALAR_BASIS)
         assert eta > 4.0 / 3.0
         assert bound is None
+
+    def test_ill_conditioned_q(self, monkeypatch):
+        # F' exists at cond(Q) = 1e6; a Gram matrix that fails Cholesky (its
+        # condition is cond(Q)^2) is a numerical failure, not a raw LinAlgError
+        import scipy.linalg
+
+        rng = np.random.default_rng(0)
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(6)])
+        u = rand_orthogonal(rng, 3)
+        q = u @ np.diag([1.0, 0.5, 1e-6]) @ u.T
+        eta, _ = eta_n_diagnostic(ss, q, standard_basis(3))
+        assert np.isfinite(eta)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("the leading minor of B is not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        with pytest.raises(DegenerateCovarianceError, match="ill-conditioned"):
+            eta_n_diagnostic(ss, q, standard_basis(3))
 
 
 class TestSigmaPerturbation:

@@ -279,6 +279,20 @@ class TestReports:
         with pytest.raises(ValidationError):
             load_report(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_numbers_rejected(self, tmp_path, value):
+        cfg = ExperimentConfig(d=2, n_grid=(3,), replicates=2, pop_proxy_size=30,
+                               limit_draws=20, seed=2)
+        data = run_clt_experiment(cfg).to_dict()
+        data["population"]["v_star"] = value
+        path = tmp_path / "r.json"
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_report(data, path)
+        assert not path.exists()
+        path.write_text(json.dumps(data))  # writes NaN, Infinity or -Infinity
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_report(path)
+
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

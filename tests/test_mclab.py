@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(d=2, sampling="other")
 
+    @pytest.mark.parametrize("bad", [
+        {"d": True}, {"replicates": True}, {"seed": False}, {"n_grid": [True, 2]},
+        {"solver_tol": True}, {"eig_law": [True, 2]}, {"solver_max_iter": True},
+        {"eig_law": ["1", "2"]}, {"eig_law": [1.0, float("inf")]},
+    ], ids=["d", "replicates", "seed", "n_grid", "solver_tol", "eig_law", "max_iter",
+            "eig_law-strings", "eig_law-infinite"])
+    def test_booleans_and_non_numbers_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict({"d": 2, **bad})
+
     def test_round_trip_dict(self):
         cfg = small_config(constraint="traceless-trace1")
         again = ExperimentConfig.from_dict(cfg.to_dict())
