@@ -17,14 +17,16 @@ from .exceptions import (
     PositivityLossError,
     ValidationError,
 )
-from .geometry import TransportPrep, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack
+from .geometry import TransportPrep, _f_hat_from_prep, _transport_stack
 from .hermitian import (
-    PD_REL_TOL,
     PsdMatrix,
     SubspaceBasis,
     _as_array,
+    _clipped_sqrt,
     _coords,
+    _is_pd,
     _psd_stack,
+    _spectral,
     as_psd,
     devectorize,
     hermitian_part,
@@ -45,11 +47,12 @@ VARIANCE_REL_SLACK = 1e-10
 class SampleSet:
     """An ordered collection of PSD matrices with normalized weights.
 
-    Its caches (the roots, the last transport prep) are each replaced whole, so
-    threads sharing a set can at worst recompute the same value.
+    The roots S_i^{1/2} come from the input gate's eigendecomposition.  The
+    memo of the last transport prep is replaced whole, so threads sharing a
+    set can at worst recompute the same prep.
     """
 
-    __slots__ = ("array", "weights", "mode", "_strictly_positive", "_roots", "_prep")
+    __slots__ = ("array", "weights", "mode", "roots", "_strictly_positive", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
         if not isinstance(matrices, np.ndarray):
@@ -60,7 +63,7 @@ class SampleSet:
             if len(shapes) > 1:
                 raise DimensionMismatchError(f"mixed matrix shapes: {sorted(shapes)}")
             matrices = np.stack(mats)
-        stack, mode, eigs = _psd_stack(matrices, mode)
+        stack, mode, eigs, vecs = _psd_stack(matrices, mode)
         n = stack.shape[0]
         if weights is None:
             w = np.full(n, 1.0 / n)
@@ -78,15 +81,14 @@ class SampleSet:
             total = float(w.sum())
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
-        stack.setflags(write=False)
-        w.setflags(write=False)
+        roots = _spectral(eigs, vecs, _clipped_sqrt)
+        for a in (stack, w, roots):
+            a.setflags(write=False)
         self.array = stack
         self.weights = w
         self.mode = mode
-        lam_max = np.maximum(eigs[:, -1], 0.0)
-        pd = eigs[:, 0] > PD_REL_TOL * lam_max
-        self._strictly_positive = bool(np.any(pd & (w > 0)))
-        self._roots = None
+        self.roots = roots
+        self._strictly_positive = bool(np.any(_is_pd(eigs) & (w > 0)))
         self._prep = None
 
     @property
@@ -102,15 +104,6 @@ class SampleSet:
     def has_strictly_positive(self) -> bool:
         """True when some sample with positive weight is strictly positive."""
         return self._strictly_positive
-
-    @property
-    def roots(self) -> np.ndarray:
-        """The principal square roots S_i^{1/2}, computed once."""
-        if self._roots is None:
-            roots = _psd_sqrt_stack(self.array)
-            roots.setflags(write=False)
-            self._roots = roots
-        return self._roots
 
     def transport_prep(self, q: np.ndarray) -> TransportPrep:
         """Maps T_Q^{S_i} and dT data at a validated base point Q, memoised
@@ -213,11 +206,6 @@ def _append_variance(variances, variance, mean_trace, rule, it):
     variances.append(variance)
 
 
-def _is_pd(mat) -> bool:
-    w = np.linalg.eigh(mat)[0]
-    return bool(w[0] > PD_REL_TOL * max(float(w[-1]), 0.0))
-
-
 def _variance_at(q, lam, weights, mean_trace: float) -> float:
     """Fréchet variance at Q from the prep spectrum lam_i = eig(S_i^{1/2} Q S_i^{1/2})."""
     root_sums = np.sqrt(lam).sum(axis=1)
@@ -229,16 +217,20 @@ def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
                             iterations=iterations)
 
 
-def _ridge_to_pd(anchor, basis, d, dtype):
-    """Move the anchor inside the PD cone along Pi_M(I - Q0), doubling the ridge."""
-    q0 = anchor.array.astype(dtype)
-    direction = project_subspace(basis, np.eye(d, dtype=dtype) - q0)
-    if np.linalg.norm(direction) < 1e-14:
+def _ridge_to_pd(anchor, basis, ss):
+    """Move the anchor inside the PD cone along Pi_M(tau I - Q0), doubling the
+    ridge, in the anchor's units: tau = tr Q0 / d, or the samples' mean trace
+    / d when Q0 = 0."""
+    d = ss.dim
+    q0 = anchor.array.astype(ss.array.dtype)
+    tau = (anchor.trace or ss.mean_trace) / d
+    direction = project_subspace(basis, tau * np.eye(d, dtype=q0.dtype) - q0)
+    if np.linalg.norm(direction) < 1e-14 * tau:
         raise PositivityLossError("anchor is singular and cannot be ridged inside A")
-    eps = 1e-3 * max(1.0, float(np.real(np.trace(q0))) / d)
+    eps = 1e-3
     for _ in range(MAX_STEP_HALVINGS):
         candidate = hermitian_part(q0 + eps * direction)
-        if _is_pd(candidate):
+        if _is_pd(np.linalg.eigvalsh(candidate)):
             return candidate
         eps *= 2.0
     raise PositivityLossError("could not find a strictly positive point in A")
@@ -262,11 +254,11 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
         if anchor.is_strictly_positive():
             q = anchor.array.astype(ss.array.dtype)
         else:
-            q = _ridge_to_pd(anchor, basis, d, ss.array.dtype)
+            q = _ridge_to_pd(anchor, basis, ss)
     history = []
     variances = []
     for it in range(cfg.max_iter + 1):
-        if basis is None and not _is_pd(q):
+        if basis is None and not _is_pd(np.linalg.eigvalsh(q)):
             raise PositivityLossError("fixed-point iterate lost strict positivity")
         prep = ss.transport_prep(q)  # a hit when a Newton step was accepted
         mean_t = np.einsum("n,nij->ij", weights, prep.t)
@@ -299,7 +291,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
         step = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             candidate = hermitian_part(q + step * direction)
-            if _is_pd(candidate):
+            if _is_pd(np.linalg.eigvalsh(candidate)):
                 lam = ss.transport_prep(candidate).lam
                 if _variance_at(candidate, lam, weights, mean_trace) <= bound - step * slope:
                     break

@@ -46,13 +46,11 @@ def bw_distance_sq(q, s) -> float:
     arguments taken in a canonical order, so the result is exactly symmetric
     and deterministic.  Small negative roundoff (within 1e-10) is clamped to 0.
     """
-    qm, sm = _pair(q, s)
-    a, b = qm.array, sm.array
-    if a.tobytes() > b.tobytes():
-        a, b = b, a
-    elif a.tobytes() == b.tobytes():
+    first, second = sorted(_pair(q, s), key=lambda m: m.array.tobytes())
+    a, b = first.array, second.array
+    if a.tobytes() == b.tobytes():
         return 0.0
-    root = _psd_sqrt_stack(a)
+    root = first._func(_clipped_sqrt)
     inner = np.linalg.eigvalsh(root @ b @ root)
     value = float(np.real(np.trace(a) + np.trace(b))) - 2.0 * float(
         np.sum(np.sqrt(np.clip(inner, 0.0, None)))
@@ -91,7 +89,7 @@ def transport_map(q, s) -> TransportMap:
     """
     qm, sm = _pair(q, s)
     qm = as_psd(qm, require_pd=True)
-    t = _transport_stack(qm.array, _psd_sqrt_stack(sm.array[None])).t[0]
+    t = _transport_stack(qm.array, sm._func(_clipped_sqrt)[None]).t[0]
     return TransportMap(PsdMatrix(t, mode=sm.mode), qm, sm)
 
 
@@ -117,8 +115,8 @@ class TransportDifferential:
         qm = as_psd(qm, require_pd=True)
         self.base_q = qm
         self.base_s = sm
-        self._prep = _transport_stack(qm.array, _psd_sqrt_stack(sm.array[None]))
-        self._q_root = _psd_sqrt_stack(qm.array)
+        self._prep = _transport_stack(qm.array, sm._func(_clipped_sqrt)[None])
+        self._q_root = qm._func(_clipped_sqrt)
         self.eigenvalues = self._prep.lam[0]
 
     def apply(self, x) -> np.ndarray:
@@ -162,11 +160,6 @@ def operator_matrix(op, basis: SubspaceBasis, rescaled: bool = False) -> Operato
 # plain arrays, (n, d, d) stacks unless said otherwise, and assume inputs
 # already validated.
 # ---------------------------------------------------------------------------
-
-
-def _psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix or of every matrix in a stack."""
-    return _spectral(*np.linalg.eigh(mats), _clipped_sqrt)
 
 
 class TransportPrep(NamedTuple):

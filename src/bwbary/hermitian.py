@@ -8,8 +8,6 @@ of Hermitian matrices.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .exceptions import (
@@ -19,8 +17,6 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
 )
-
-logger = logging.getLogger(__name__)
 
 REAL = "real"
 COMPLEX = "complex"
@@ -131,18 +127,25 @@ def _hermitian_stack(stack, mode=None):
     return herm, mode
 
 
+def _is_pd(w, tol: float = PD_REL_TOL):
+    """lambda_min > tol max(lambda_max, 0) on an ascending spectrum or a stack of them."""
+    return w[..., 0] > tol * np.maximum(w[..., -1], 0.0)
+
+
 def _psd_stack(stack, mode=None):
     """The input policy for PSD matrices: `_hermitian_stack`, then the spectrum
     gate lambda_min >= -PSD_REL_TOL lambda_max on each matrix.
 
-    Returns (the Hermitian stack, mode, its ascending eigenvalues).
+    Returns (the Hermitian stack, mode, its ascending eigenvalues, their
+    eigenvectors): the one decomposition of a validated matrix, from which its
+    roots and its strict positivity are read.
     """
     herm, mode = _hermitian_stack(stack, mode)
-    eigs = np.linalg.eigvalsh(herm)
-    eps = PSD_REL_TOL * np.maximum(eigs[:, -1], 0.0)
-    _reject(eigs[:, 0] < -eps, NotPsdError,
-            "matrix is not PSD: lambda_min = {:.6e} < -{:.3e}", eigs[:, 0], eps)
-    return herm, mode, eigs
+    w, v = np.linalg.eigh(herm)
+    eps = PSD_REL_TOL * np.maximum(w[:, -1], 0.0)
+    _reject(w[:, 0] < -eps, NotPsdError,
+            "matrix is not PSD: lambda_min = {:.6e} < -{:.3e}", w[:, 0], eps)
+    return herm, mode, w, v
 
 
 class PsdMatrix:
@@ -150,26 +153,27 @@ class PsdMatrix:
 
     The stored array is exactly Hermitian and its spectrum lies above
     -PSD_REL_TOL lambda_max: the input passes the same batched gate as a
-    `SampleSet`, as a stack of one.  Instances are immutable and safe to share
-    between threads.
+    `SampleSet`, as a stack of one.  The gate's eigendecomposition is kept, so
+    the spectrum, strict positivity, roots and inverse roots decompose nothing
+    more.  Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("array", "mode")
+    __slots__ = ("array", "mode", "_w", "_v")
 
     def __init__(self, array, mode=None, require_pd=False):
         arr = _as_array(array)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {arr.shape}")
-        stack, mode, eigs = _psd_stack(arr[None], mode)
-        w = eigs[0]
-        if require_pd and not w[0] > PD_REL_TOL * max(float(w[-1]), 0.0):
+        stack, mode, w, v = _psd_stack(arr[None], mode)
+        if require_pd and not _is_pd(w[0]):
             raise SingularMatrixError(
-                f"matrix is not strictly positive: lambda_min = {w[0]:.6e}"
+                f"matrix is not strictly positive: lambda_min = {w[0, 0]:.6e}"
             )
-        herm = stack[0]
-        herm.setflags(write=False)
-        self.array = herm
+        for a in (stack, w, v):
+            a.setflags(write=False)
+        self.array = stack[0]
         self.mode = mode
+        self._w, self._v = w[0], v[0]
 
     @property
     def dim(self) -> int:
@@ -181,11 +185,14 @@ class PsdMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues sorted descending."""
-        return np.linalg.eigvalsh(self.array)[::-1].copy()
+        return self._w[::-1].copy()
 
     def is_strictly_positive(self) -> bool:
-        w = np.linalg.eigvalsh(self.array)
-        return bool(w[0] > PD_REL_TOL * max(float(w[-1]), 0.0))
+        return bool(_is_pd(self._w))
+
+    def _func(self, f) -> np.ndarray:
+        """f(A) = V diag(f(w)) V^* from the gate's decomposition."""
+        return _spectral(self._w, self._v, f)
 
     def __repr__(self):
         return f"PsdMatrix(dim={self.dim}, mode={self.mode!r})"
@@ -204,21 +211,10 @@ def as_psd(value, mode=None, require_pd=False) -> PsdMatrix:
     return PsdMatrix(value, mode=mode, require_pd=require_pd)
 
 
-def _clamped_spectrum(a: PsdMatrix):
-    """Ascending eigenvalues, the negative ones the gate let through clamped to
-    0, plus eigenvectors."""
-    w, v = np.linalg.eigh(a.array)
-    clamped = np.count_nonzero(w < 0)
-    if clamped:
-        logger.debug("clamping %d negative eigenvalues (min %.3e)", clamped, w[0])
-    return np.clip(w, 0.0, None), v
-
-
 def sqrt_psd(a) -> PsdMatrix:
     """Principal square root of a PSD matrix."""
     mat = as_psd(a)
-    w, v = _clamped_spectrum(mat)
-    return PsdMatrix(hermitian_part(_spectral(w, v, np.sqrt)), mode=mat.mode)
+    return PsdMatrix(hermitian_part(mat._func(_clipped_sqrt)), mode=mat.mode)
 
 
 def pinv_sqrt_psd(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
@@ -227,8 +223,7 @@ def pinv_sqrt_psd(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
     Eigenvalues above rank_tol * lam_max map to lam^{-1/2}, the rest to 0.
     """
     mat = as_psd(a)
-    w, v = _clamped_spectrum(mat)
-    return hermitian_part(_spectral(w, v, lambda lam: _pinv_sqrt(lam, rank_tol)))
+    return hermitian_part(mat._func(lambda w: _pinv_sqrt(np.clip(w, 0.0, None), rank_tol)))
 
 
 def sqrt_differential(q, x) -> np.ndarray:
@@ -242,7 +237,7 @@ def sqrt_differential(q, x) -> np.ndarray:
     if arr.shape != mat.array.shape:
         raise DimensionMismatchError("X must match the dimension of Q")
     arr = _hermitian_stack(arr[None])[0][0]
-    w, v = np.linalg.eigh(mat.array)
+    w, v = mat._w, mat._v
     roots = np.sqrt(w)
     inner = np.conjugate(v.T) @ arr @ v
     inner = inner / (roots[:, None] + roots[None, :])
@@ -399,6 +394,8 @@ class OperatorOnM:
             raise DimensionMismatchError(
                 f"operator matrix shape {arr.shape} does not match basis size {m}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("operator matrix has non-finite entries")
         gap = np.max(np.abs(arr - arr.T))
         if gap > 1e-10 * float(np.max(np.abs(arr))):
             raise ValidationError(f"operator matrix is not symmetric (gap {gap:.3e})")

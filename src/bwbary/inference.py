@@ -17,7 +17,7 @@ from .exceptions import (
     DimensionMismatchError,
     ValidationError,
 )
-from .geometry import _dt_apply, _f_hat_from_prep, _psd_sqrt_stack, _transport_stack, bw_distance
+from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
 from .hermitian import (
     OperatorOnM,
     PsdMatrix,
@@ -25,6 +25,7 @@ from .hermitian import (
     _clipped_sqrt,
     _coords,
     _inv_sqrt,
+    _is_pd,
     _spectral,
     as_psd,
     devectorize,
@@ -91,7 +92,7 @@ def estimate_f_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
 def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarray:
     """f(op) from the spectrum of op, which must be positive definite."""
     w, v = np.linalg.eigh(op.matrix)
-    if not w[0] > rank_tol * max(float(w[-1]), 0.0):
+    if not _is_pd(w, rank_tol):
         raise DegenerateCovarianceError(f"{what} (lambda_min = {w[0]:.3e})")
     return _spectral(w, v, f)
 
@@ -133,6 +134,14 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     return np.sqrt(float(n)) * (inv_root @ coords)
 
 
+def _xi_root(xi: OperatorOnM) -> np.ndarray:
+    """Xi^{1/2}, after checking that Xi is PSD relative to lambda_max(Xi)."""
+    w, v = np.linalg.eigh(xi.matrix)
+    if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0):
+        raise ValidationError("xi must be PSD")
+    return _spectral(w, v, _clipped_sqrt)
+
+
 def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draws of the distance-statistic limit ||Q*^{1/2} dT_{Q*}^{Q*}(Z)||_F.
@@ -144,14 +153,11 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
         raise DimensionMismatchError("xi/basis dimensions do not match Q*")
     if count < 1:
         raise ValidationError("count must be >= 1")
-    w, v = np.linalg.eigh(xi.matrix)
-    if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0):
-        raise ValidationError("xi must be PSD")
-    half = _spectral(w, v, _clipped_sqrt)
+    half = _xi_root(xi)
     g = rng.standard_normal((xi.dim_m, count))
     coords = half @ g
     z = np.einsum("kab,kn->nab", basis.basis, coords)
-    root = _psd_sqrt_stack(qm.array)
+    root = qm._func(_clipped_sqrt)
     scaled = root @ _dt_apply(_transport_stack(qm.array, root[None]), z)
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
@@ -181,14 +187,15 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     return v_n, stat, var_hat
 
 
-def _f_prime_spectrum(ss, q: np.ndarray, basis: SubspaceBasis) -> np.ndarray:
+def _f_prime_spectrum(ss, q, basis: SubspaceBasis) -> np.ndarray:
     """Ascending spectrum of F' = -sum_i w_i dt_i on Q^{-1/2} M Q^{-1/2}.  With
     C_k = Q^{-1/2} B_k Q^{-1/2}, <C_k, -dt(C_l)> is F-hat_kl on the prep at Q, so this
     is the spectrum of the pencil (F-hat, G), G_kl = <C_k, C_l>."""
-    inv_root = _spectral(*np.linalg.eigh(q), _inv_sqrt)
+    qm = as_psd(q)
+    inv_root = qm._func(_inv_sqrt)
     c = (inv_root @ basis.basis @ inv_root).reshape(basis.dim_m, -1)
     gram = np.real(np.conjugate(c) @ c.T)
-    f_hat = _f_hat_from_prep(ss.transport_prep(q), ss.weights, basis.basis)
+    f_hat = _f_hat_from_prep(ss.transport_prep(qm.array), ss.weights, basis.basis)
     try:
         return scipy.linalg.eigh(f_hat, gram, eigvals_only=True)
     except np.linalg.LinAlgError:  # G, whose condition is cond(Q)^2, failed Cholesky
@@ -208,10 +215,10 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     t = ss.transport_prep(qm.array).t
     mean_t = np.einsum("n,nij->ij", ss.weights, t)
     projected = project_subspace(basis, mean_t - np.eye(ss.dim, dtype=t.dtype))
-    q_root = _psd_sqrt_stack(qm.array)
+    q_root = qm._func(_clipped_sqrt)
     numerator = float(np.linalg.norm(q_root @ projected @ q_root))
-    lam = _f_prime_spectrum(ss, qm.array, basis)
-    if not lam[0] > XI_RANK_TOL * max(float(lam[-1]), 0.0):
+    lam = _f_prime_spectrum(ss, qm, basis)
+    if not _is_pd(lam, XI_RANK_TOL):
         raise DegenerateCovarianceError(
             f"F' is singular (lambda_min = {lam[0]:.3e}); eta is undefined"
         )
@@ -234,8 +241,7 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     qn = as_psd(q_n, require_pd=True)
     if qs.dim != ss.dim or qn.dim != ss.dim:
         raise DimensionMismatchError("dimension mismatch")
-    w, v = np.linalg.eigh(qs.array)
-    inv_root = _spectral(w, v, _inv_sqrt)
+    inv_root = qs._func(_inv_sqrt)
     q_prime = hermitian_part(inv_root @ qn.array @ inv_root)
     gap = q_prime - np.eye(ss.dim, dtype=q_prime.dtype)
     gap_op = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
@@ -249,8 +255,9 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     sigma_n = estimate_sigma_hat(ss, qn, basis).matrix
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(sigma_n - sigma_star))))
     sample_norms = np.abs(np.linalg.eigvalsh(ss.array)).max(axis=1)
-    kappa = float(w[-1] / w[0])
-    beta = kappa * np.sqrt(float(np.dot(ss.weights, sample_norms)) / float(w[-1]))
+    lam = qs.eigenvalues()
+    kappa = float(lam[0] / lam[-1])
+    beta = kappa * np.sqrt(float(np.dot(ss.weights, sample_norms)) / float(lam[0]))
     beta *= float(np.linalg.norm(gap))
     # on a full orthonormal basis, tr Sigma = mean ||T_i - I||_F^2
     rhs = beta * (2.0 * np.sqrt(np.trace(sigma_star)) + beta)

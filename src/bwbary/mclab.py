@@ -20,10 +20,10 @@ from .exceptions import (
     NumericalError,
     ValidationError,
 )
-from .geometry import _psd_sqrt_stack, bw_distance
+from .geometry import bw_distance
 from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral, hermitian_part,
                         standard_basis)
-from .inference import estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
+from .inference import _xi_root, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
 
 logger = logging.getLogger(__name__)
@@ -343,7 +343,7 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
     limit_samples = {}
     try:
         xi0 = estimate_xi_hat(sigma0, f0)
-        half = _psd_sqrt_stack(xi0.matrix)
+        half = _xi_root(xi0)
         g = derive_rng(config.seed, _DOMAIN_LIMIT_FNORM).standard_normal(
             (basis.dim_m, config.limit_draws))
         limit_samples["fnorm"] = np.linalg.norm(half @ g, axis=0)
@@ -385,7 +385,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
     """Error-decay study: per replicate records ||Q'_n - I||_F and the
     distance to Q*, then fits the slope of log median error against log n."""
     q_star, v_star, pool = _population(config)
-    inv_root = _spectral(*np.linalg.eigh(q_star.array), _inv_sqrt)
+    inv_root = q_star._func(_inv_sqrt)
     errors = ("fnorm_rel", "dbw_err")
 
     def stats(n, ss, result):

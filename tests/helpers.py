@@ -1,4 +1,6 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and decomposition counting for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -36,3 +38,23 @@ def rand_psd_singular(rng, d, rank, lo=0.5, hi=2.0):
     u = rand_orthogonal(rng, d)
     a = (u * lam) @ u.T
     return (a + a.T) / 2
+
+
+def count_decompositions(monkeypatch) -> list:
+    """Patch numpy's eigh and eigvalsh to record the shape of every array they
+    decompose; returns the list the shapes go to."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
+def matrix_count(shapes) -> int:
+    """The number of matrices in the recorded shapes."""
+    return sum(math.prod(shape[:-2]) for shape in shapes)

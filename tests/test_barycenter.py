@@ -21,11 +21,12 @@ from bwbary import (
 
 from bwbary import barycenter as barycenter_module
 from bwbary.barycenter import VARIANCE_REL_SLACK
-from bwbary.hermitian import RANK_REL_TOL
+from bwbary.hermitian import RANK_REL_TOL, SubspaceBasis, as_psd
 from bwbary.inference import estimate_f_hat, estimate_sigma_hat
 from bwbary.mclab import _random_spd_stack
 
-from helpers import rand_orthogonal, rand_spd, rand_psd_singular
+from helpers import (count_decompositions, matrix_count, rand_orthogonal, rand_psd_singular,
+                     rand_spd)
 
 
 def density_samples(rng, d, n, lo=1.0, hi=5.0):
@@ -289,20 +290,25 @@ class TestFixedPointReference:
         rng = np.random.default_rng(7)
         ss = SampleSet([rand_spd(rng, 3) for _ in range(40)])
         q_n = solve_barycenter(ss).barycenter
-        stacks = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(a, *args, _original=original, **kwargs):
-                if np.ndim(a) > 2 and np.prod(np.shape(a)[:-2]) > 1:
-                    stacks.append(np.shape(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        shapes = count_decompositions(monkeypatch)
         basis = standard_basis(3)
         estimate_sigma_hat(ss, q_n, basis)
         estimate_f_hat(ss, q_n, basis)
-        assert stacks == []
+        assert [s for s in shapes if matrix_count([s]) > 1] == []
+
+    def test_queries_at_q_n_decompose_nothing(self, monkeypatch):
+        # the gate's decomposition of the returned barycenter answers them all
+        rng = np.random.default_rng(7)
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(40)])
+        q_n = solve_barycenter(ss).barycenter
+        shapes = count_decompositions(monkeypatch)
+        basis = standard_basis(3)
+        assert q_n.is_strictly_positive()
+        assert q_n.eigenvalues()[0] > 0
+        assert as_psd(q_n, require_pd=True) is q_n
+        estimate_sigma_hat(ss, q_n, basis)
+        estimate_f_hat(ss, q_n, basis)
+        assert shapes == []
 
 
 class TestConstrainedSolver:
@@ -352,6 +358,23 @@ class TestConstrainedSolver:
         result = solve_barycenter(ss, constraint=anchor_basis)
         assert result.barycenter.is_strictly_positive()
         assert result.residual <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_singular_anchor_ridge_is_scale_free(self, scale):
+        # the ridge moves along Pi_M(tau I - Q0) in the anchor's units, so the
+        # solve is the same problem at every scale
+        stack = _random_spd_stack(20, 2, (1.0, 5.0), np.random.default_rng(5))
+        traceless = standard_basis(2, kind="traceless")
+
+        def solve(s):
+            basis = SubspaceBasis(traceless.basis, anchor=s * np.diag([1.0, 0.0]))
+            return solve_barycenter(SampleSet(s * stack), constraint=basis)
+
+        reference, result = solve(1.0), solve(scale)
+        assert result.iterations == reference.iterations
+        assert result.residual <= 1e-10
+        q, q_ref = result.barycenter.array / scale, reference.barycenter.array
+        assert np.linalg.norm(q - q_ref) <= 1e-12 * np.linalg.norm(q_ref)
 
     def test_variance_soft_check_logs_not_raises(self, caplog):
         rng = np.random.default_rng(17)

@@ -18,9 +18,43 @@ from bwbary import (
     standard_basis,
     vectorize,
 )
-from bwbary.hermitian import OperatorOnM, frobenius_inner
+from bwbary.hermitian import (OperatorOnM, _clipped_sqrt, _inv_sqrt, _pinv_sqrt, _spectral,
+                              frobenius_inner, hermitian_part)
 
 from helpers import rand_hermitian, rand_psd_singular, rand_spd, rand_unitary
+
+
+def _reference_root(a, f):
+    """f(A) by a second eigh of A, the route the gate's decomposition replaced."""
+    return _spectral(*np.linalg.eigh(a), f)
+
+
+def _stack(kind, rng, n=6, d=3):
+    if kind == "singular":
+        return np.stack([rand_psd_singular(rng, d, 1 + i % (d - 1)) for i in range(n)])
+    return np.stack([rand_spd(rng, d, 0.1, 10.0, complex_mode=kind == "complex")
+                     for _ in range(n)])
+
+
+class TestGateDecomposition:
+    @pytest.mark.parametrize("kind", ["real", "complex", "singular"])
+    def test_sample_roots_match_second_eigh_bitwise(self, kind):
+        ss = SampleSet(_stack(kind, np.random.default_rng(21)))
+        assert np.array_equal(ss.roots, _reference_root(ss.array, _clipped_sqrt))
+        assert not ss.roots.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "singular"])
+    def test_matrix_roots_match_second_eigh_bitwise(self, kind):
+        for a in _stack(kind, np.random.default_rng(22)):
+            m = PsdMatrix(a)
+            root = _reference_root(m.array, _clipped_sqrt)
+            assert np.array_equal(m._func(_clipped_sqrt), root)
+            assert np.array_equal(sqrt_psd(m).array, hermitian_part(root))
+            pinv = _reference_root(m.array, lambda w: _pinv_sqrt(np.clip(w, 0.0, None)))
+            assert np.array_equal(pinv_sqrt_psd(m), hermitian_part(pinv))
+            assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.array)[0][::-1])
+            if kind != "singular":
+                assert np.array_equal(m._func(_inv_sqrt), _reference_root(m.array, _inv_sqrt))
 
 
 class TestPsdMatrix:
@@ -279,6 +313,16 @@ class TestOperatorOnM:
         nearly = scale * (np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1))
         assert np.array_equal(OperatorOnM(basis, nearly).matrix,
                               (nearly + nearly.T) / 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        basis = standard_basis(2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            OperatorOnM(basis, np.full((3, 3), value))
+        one = np.eye(3)
+        one[1, 1] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            OperatorOnM(basis, one)
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(11)

@@ -37,7 +37,8 @@ from bwbary.geometry import F_HAT_CHUNK
 from bwbary.inference import XI_RANK_TOL, _f_prime_spectrum
 from bwbary.mclab import _random_spd_stack
 
-from helpers import rand_hermitian, rand_orthogonal, rand_spd, rand_unitary
+from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_orthogonal,
+                     rand_spd, rand_unitary)
 
 SCALAR_BASIS = SubspaceBasis(np.ones((1, 1, 1)))
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
@@ -57,21 +58,6 @@ def _orthonormal_congruence(basis, q):
         half = flat.shape[1]
         ortho = ortho[:, :half] + 1j * ortho[:, half:]
     return SubspaceBasis(ortho.reshape(images.shape), mode=basis.mode)
-
-
-def _count_decompositions(monkeypatch) -> list:
-    """Patch numpy's eigh and eigvalsh to record how many matrices each call
-    decomposes; returns the list the counts go to."""
-    counted = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counting(a, *args, _original=original, **kwargs):
-            counted.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return counted
 
 
 def scalar_set(values):
@@ -334,21 +320,22 @@ class TestSharedPrep:
         assert all(results)
 
     def test_replicate_decomposition_count(self, monkeypatch):
-        # SampleSet validation, the roots and three solver evaluations, the last
-        # of which Sigma-hat and F-hat share; the rest are single d x d matrices.
+        # the gate, whose eigh gives the roots, and three solver evaluations, the
+        # last of which Sigma-hat and F-hat share; the rest are single d x d matrices.
         n = 1000
         stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
-        counted = _count_decompositions(monkeypatch)
+        shapes = count_decompositions(monkeypatch)
         ss = SampleSet(stack)
         q_n = solve_barycenter(ss).barycenter
         basis = standard_basis(3)
         estimate_sigma_hat(ss, q_n, basis)
         estimate_f_hat(ss, q_n, basis)
-        assert sum(counted) <= 5 * n + 10
+        assert matrix_count(shapes) <= 4 * n + 10
 
     def test_infer_decomposition_count(self, monkeypatch, tmp_path, capsys):
-        # the bundle's gate and roots, one prep at Q* that eta and V share, and
-        # three solver evaluations, the last of which Sigma-hat and F-hat share
+        # the bundle's gate, whose eigh gives the roots, one prep at Q* that eta
+        # and V share, and three solver evaluations, the last of which Sigma-hat
+        # and F-hat share
         from bwbary import save_bundle
         from bwbary.cli import main
 
@@ -356,10 +343,10 @@ class TestSharedPrep:
         stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
         save_bundle(SampleSet(stack), tmp_path / "s.mat")
         save_bundle(SampleSet([20.0 * np.eye(3)]), tmp_path / "q.mat")
-        counted = _count_decompositions(monkeypatch)
+        shapes = count_decompositions(monkeypatch)
         assert main(["infer", str(tmp_path / "s.mat"), "--qstar", str(tmp_path / "q.mat")]) == 0
         capsys.readouterr()
-        assert sum(counted) <= 6 * n + 50
+        assert matrix_count(shapes) <= 5 * n + 50
 
 
 class TestXiHat:
