@@ -29,13 +29,11 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import (
-    TransportDifferential,
     TransportMap,
     bw_distance,
     bw_distance_sq,
     bw_gradient,
     operator_matrix,
-    transport_differential,
     transport_map,
 )
 from .hermitian import (

@@ -31,7 +31,6 @@ from .hermitian import (
     devectorize,
     hermitian_part,
     project_subspace,
-    standard_basis,
 )
 
 logger = logging.getLogger(__name__)
@@ -140,24 +139,17 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 @dataclass
 class SolverConfig:
-    """Iteration budget, tolerance, and step rule for the barycenter solvers.
-
-    step_rule None picks fixed-point for unconstrained problems and
-    affine-newton (damped Newton steps on A = Q0 + M, Hessian F-hat) when an
-    affine constraint is supplied.
-    """
+    """Iteration budget and residual tolerance for the barycenter solver."""
 
     max_iter: int = 500
     tol_residual: float = 1e-10
-    step_rule: str | None = None
 
     def __post_init__(self):
         if not _is_number(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not _is_number(self.tol_residual) or not self.tol_residual > 0:
-            raise ValidationError(f"tol_residual must be a number > 0, got {self.tol_residual!r}")
-        if self.step_rule not in (None, "fixed-point", "affine-newton"):
-            raise ValidationError(f"unknown step rule {self.step_rule!r}")
+        if not _is_number(self.tol_residual) or not 0 < self.tol_residual < np.inf:
+            raise ValidationError(
+                f"tol_residual must be a finite number > 0, got {self.tol_residual!r}")
 
 
 @dataclass
@@ -313,7 +305,8 @@ def solve_barycenter(
 
     Unconstrained problems run the classical fixed-point map Q <- T Q T, with
     T the weighted mean of the transport maps T_Q^{S_i}; constrained ones run
-    damped Newton steps whose iterates never leave A.  Both rules evaluate each
+    damped Newton steps whose iterates never leave A (with `standard_basis(d)`
+    as the constraint, Newton on all of H).  Both rules evaluate each
     iterate through the sample set's transport prep, so estimators called at
     the returned barycenter reuse the last one.  The exit certificate is the
     first-order residual ||Pi_M(mean T - I)||_F.
@@ -325,17 +318,9 @@ def solve_barycenter(
             "all samples are singular; the barycenter problem needs one with"
             " positive weight strictly inside the cone"
         )
-    rule = cfg.step_rule
-    if rule is None:
-        rule = "fixed-point" if constraint is None else "affine-newton"
-    basis = constraint
-    if rule == "fixed-point" and basis is not None:
-        raise ValidationError("fixed-point iteration cannot honor a constraint")
-    if rule == "affine-newton" and basis is None:
-        basis = standard_basis(ss.dim, mode=ss.mode, kind="full")
-    if basis is not None and basis.dim_ambient != ss.dim:
+    if constraint is not None and constraint.dim_ambient != ss.dim:
         raise DimensionMismatchError("constraint basis does not match sample dimension")
-    q, iters, res, variance, history, variances = _solve(ss, basis, cfg)
+    q, iters, res, variance, history, variances = _solve(ss, constraint, cfg)
     return BarycenterResult(
         barycenter=PsdMatrix(q, mode=ss.mode, require_pd=True),
         iterations=iters,

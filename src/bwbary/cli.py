@@ -46,7 +46,11 @@ def _load_vector(path):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, separators=(",", ":"), sort_keys=False))
+    try:
+        text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # a finite input overflowed
+        raise NumericalError(f"result is not finite: {exc}") from None
+    print(text)
 
 
 def _cmd_distance(args) -> None:

@@ -4,7 +4,7 @@ differential structure of the squared distance."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -70,85 +70,65 @@ def bw_distance(q, s) -> float:
 
 @dataclass(frozen=True)
 class TransportMap:
-    """Optimal transport map T with T Q T = S, pushing N(0, Q) to N(0, S)."""
+    """Optimal transport map T with T Q T = S, pushing N(0, Q) to N(0, S), and
+    the differential dT of Q -> T_Q^S at Q, both read from one transport prep.
+
+    dT is self-adjoint and negative semi-definite; `apply` evaluates it,
+    `apply_rescaled` the conjugated version zeta -> Q^{1/2} dT(Q^{1/2} zeta
+    Q^{1/2}) Q^{1/2}.  `eigenvalues` is the ascending spectrum of S^{1/2} Q
+    S^{1/2}.  Instances are immutable and can be shared between threads.
+    """
 
     matrix: PsdMatrix
     source: PsdMatrix
     target: PsdMatrix
+    _prep: TransportPrep = field(repr=False, compare=False)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._prep.lam[0]
 
     def push_forward_error(self) -> float:
         t = self.matrix.array
         return float(np.linalg.norm(t @ self.source.array @ t - self.target.array))
 
-
-def transport_map(q, s) -> TransportMap:
-    """Optimal map T = S^{1/2} (S^{1/2} Q S^{1/2})^{-1/2} S^{1/2} for Q > 0.
-
-    Singular targets go through the pseudo-inverse branch: directions outside
-    range(S) map to 0.
-    """
-    qm, sm = _pair(q, s)
-    qm = as_psd(qm, require_pd=True)
-    t = _transport_stack(qm.array, sm._func(_clipped_sqrt)[None]).t[0]
-    return TransportMap(PsdMatrix(t, mode=sm.mode), qm, sm)
-
-
-def bw_gradient(q, s) -> np.ndarray:
-    """Frobenius gradient of Q -> d_BW^2(Q, S), equal to I - T_Q^S."""
-    t = transport_map(q, s)
-    return np.eye(t.source.dim, dtype=t.matrix.array.dtype) - t.matrix.array
-
-
-class TransportDifferential:
-    """Differential dT of Q -> T_Q^S at a strictly positive base point.
-
-    The operator is self-adjoint and negative semi-definite; `apply` evaluates
-    the raw differential, `apply_rescaled` the conjugated version
-    zeta -> Q^{1/2} dT(Q^{1/2} zeta Q^{1/2}) Q^{1/2}.  Cached spectral data is
-    immutable, so instances can be shared between threads.
-    """
-
-    __slots__ = ("base_q", "base_s", "_prep", "_q_root", "eigenvalues")
-
-    def __init__(self, q, s):
-        qm, sm = _pair(q, s)
-        qm = as_psd(qm, require_pd=True)
-        self.base_q = qm
-        self.base_s = sm
-        self._prep = _transport_stack(qm.array, sm._func(_clipped_sqrt)[None])
-        self._q_root = qm._func(_clipped_sqrt)
-        self.eigenvalues = self._prep.lam[0]
-
     def apply(self, x) -> np.ndarray:
         """Raw differential dT applied to a Hermitian perturbation X."""
         arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
-        if arr.shape != self.base_q.array.shape:
+        if arr.shape != self.source.array.shape:
             raise DimensionMismatchError("perturbation dimension mismatch")
         return hermitian_part(_dt_apply(self._prep, arr)[0])
 
     def apply_rescaled(self, zeta) -> np.ndarray:
         """Rescaled differential dt(zeta) = Q^{1/2} dT(Q^{1/2} zeta Q^{1/2}) Q^{1/2}."""
         arr = zeta.array if isinstance(zeta, PsdMatrix) else np.asarray(zeta)
-        r = self._q_root
+        r = self.source._func(_clipped_sqrt)
         return hermitian_part(r @ self.apply(r @ arr @ r) @ r)
 
 
-def transport_differential(q, s) -> TransportDifferential:
-    return TransportDifferential(q, s)
+def transport_map(q, s) -> TransportMap:
+    """Optimal map T = S^{1/2} (S^{1/2} Q S^{1/2})^{-1/2} S^{1/2} for Q > 0,
+    with its differential, from one eigh of S^{1/2} Q S^{1/2}.
 
-
-def operator_matrix(op, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:
-    """Materialize a self-adjoint operator on M as the matrix <B_k, op(B_l)>.
-
-    `op` is either a TransportDifferential (rescaled selects dT vs dt) or any
-    callable mapping Hermitian matrices to Hermitian matrices.
+    Singular targets go through the pseudo-inverse branch: directions outside
+    range(S) map to 0.  T is complex when Q or S is.
     """
-    if isinstance(op, TransportDifferential):
-        fn = op.apply_rescaled if rescaled else op.apply
-    elif callable(op):
-        fn = op
-    else:
-        raise TypeError("op must be a TransportDifferential or a callable")
+    qm, sm = _pair(q, s)
+    qm = as_psd(qm, require_pd=True)
+    prep = _transport_stack(qm.array, sm._func(_clipped_sqrt)[None])
+    return TransportMap(PsdMatrix(prep.t[0]), qm, sm, prep)
+
+
+def bw_gradient(q, s) -> np.ndarray:
+    """Frobenius gradient of Q -> d_BW^2(Q, S), equal to I - T_Q^S."""
+    t = transport_map(q, s).matrix.array
+    return np.eye(len(t), dtype=t.dtype) - t
+
+
+def operator_matrix(t: TransportMap, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:
+    """Materialize dT of a transport map (dt when rescaled) on M as the matrix
+    <B_k, dT(B_l)>."""
+    fn = t.apply_rescaled if rescaled else t.apply
     mat = np.empty((basis.dim_m, basis.dim_m))
     for l in range(basis.dim_m):
         mat[:, l] = vectorize(basis, fn(basis.basis[l]))

@@ -303,8 +303,8 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
 
 
 def _positive(value, name):
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
+    if not 0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def compose_c_q(norm_q_star: float, sigma_t: float, lambda_min_f_prime: float) -> float:
@@ -343,7 +343,7 @@ def concentration_envelope_v(b: float, nu: float, c_q: float, norm_f_prime: floa
     _positive(n, "n")
     _positive(t, "t")
     tail = max(b * t * t / n, nu * t / np.sqrt(n))
-    return tail + 3.0 * c_q * c_q * norm_f_prime * (d + t) ** 2 / n
+    return tail + 3.0 * c_q * c_q * norm_f_prime * (d + t) * (d + t) / n
 
 
 def subexp_tail(nu: float, b: float, t: float) -> float:
@@ -351,8 +351,8 @@ def subexp_tail(nu: float, b: float, t: float) -> float:
     exponential regime above."""
     _positive(nu, "nu")
     _positive(b, "b")
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not t >= 0:
+        raise ValidationError(f"t must be nonnegative, got {t!r}")
     if t <= nu * nu / b:
         return float(np.exp(-t * t / (2.0 * nu * nu)))
     return float(np.exp(-t / (2.0 * b)))

@@ -186,6 +186,8 @@ class LocationScaleMeasure:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).ravel()
         self.covariance = as_psd(self.covariance)
+        if not np.all(np.isfinite(self.mean)):
+            raise ValidationError("mean has non-finite entries")
         if self.mean.shape != (self.covariance.dim,):
             raise DimensionMismatchError(
                 f"mean length {self.mean.shape[0]} != covariance dim"

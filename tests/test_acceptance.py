@@ -24,7 +24,6 @@ from bwbary import (
     solve_barycenter,
     sqrt_psd,
     standard_basis,
-    transport_differential,
     transport_map,
     run_clt_experiment,
     run_concentration_experiment,
@@ -88,8 +87,8 @@ def test_criterion_2_transport_differential_order():
         d = int(rng.integers(2, 5))
         q, s = rand_spd(rng, d), rand_spd(rng, d)
         x = rand_hermitian(rng, d)
-        dt = transport_differential(q, s)
-        t0 = transport_map(q, s).matrix.array
+        dt = transport_map(q, s)
+        t0 = dt.matrix.array
         errs = []
         for eps in (1e-3, 1e-4):
             t1 = transport_map(q + eps * x, s).matrix.array
@@ -112,7 +111,7 @@ def test_criterion_3_sharp_dt_spectrum():
         for _ in range(3):
             q, s = rand_spd(rng, d), rand_spd(rng, d)
             basis = standard_basis(d)
-            mat = -operator_matrix(transport_differential(q, s), basis, rescaled=True).matrix
+            mat = -operator_matrix(transport_map(q, s), basis, rescaled=True).matrix
             eig = np.linalg.eigvalsh(mat)
             lam = np.linalg.eigvalsh(sqrt_psd(s).array @ q @ sqrt_psd(s).array)
             lo, hi = 0.5 * np.sqrt(lam[0]), 0.5 * np.sqrt(lam[-1])
@@ -133,13 +132,13 @@ def test_criterion_4_homogeneity():
         d = int(rng.integers(2, 5))
         q, s = rand_spd(rng, d), rand_spd(rng, d)
         x = rand_hermitian(rng, d)
-        base = transport_differential(q, s).apply(x)
+        base = transport_map(q, s).apply(x)
         for a in (0.5, 2.0, 4.0):
             gap_q = np.linalg.norm(
-                transport_differential(a * q, s).apply(x) - a ** (-1.5) * base
+                transport_map(a * q, s).apply(x) - a ** (-1.5) * base
             )
             gap_s = np.linalg.norm(
-                transport_differential(q, a * s).apply(x) - a ** 0.5 * base
+                transport_map(q, a * s).apply(x) - a ** 0.5 * base
             )
             worst = max(worst, gap_q, gap_s)
     _report(

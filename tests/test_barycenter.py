@@ -29,6 +29,12 @@ from helpers import (count_decompositions, matrix_count, rand_orthogonal, rand_p
                      rand_spd)
 
 
+def _rule_constraint(rule, d):
+    """The constraint that selects a step rule: none for the fixed point, all
+    of H (the full basis) for affine Newton."""
+    return standard_basis(d) if rule == "affine-newton" else None
+
+
 def density_samples(rng, d, n, lo=1.0, hi=5.0):
     mats = np.stack([rand_spd(rng, d, lo, hi) for _ in range(n)])
     return mats / np.trace(mats, axis1=1, axis2=2)[:, None, None]
@@ -92,10 +98,10 @@ class TestVarianceWarningScale:
     def test_no_warning_at_any_scale(self, caplog, step_rule):
         # the variance is in trace units; an absolute slack misfires at 1e8 and 1e12
         stack = _random_spd_stack(50, 3, (1.0, 5.0), np.random.default_rng(0))
-        cfg = SolverConfig(step_rule=step_rule)
+        basis = _rule_constraint(step_rule, 3)
         with caplog.at_level(logging.WARNING, logger="bwbary.barycenter"):
             for scale in (1e-12, 1.0, 1e8, 1e12):
-                solve_barycenter(SampleSet(scale * stack), config=cfg)
+                solve_barycenter(SampleSet(scale * stack), constraint=basis)
         assert not caplog.records
 
 
@@ -127,7 +133,7 @@ class TestFrechetVariance:
         # prep is reused or rebuilt on a fresh set
         stack = _random_spd_stack(40, 3, (1.0, 5.0), np.random.default_rng(12))
         ss = SampleSet(stack)
-        result = solve_barycenter(ss, config=SolverConfig(step_rule=step_rule))
+        result = solve_barycenter(ss, constraint=_rule_constraint(step_rule, 3))
         assert frechet_variance(result.barycenter, ss) == result.variance
         assert frechet_variance(result.barycenter, SampleSet(stack)) == result.variance
 
@@ -334,20 +340,12 @@ class TestConstrainedSolver:
 
         assert np.linalg.norm(gap - project_subspace(basis, gap)) <= 1e-12
 
-    def test_fixed_point_with_constraint_rejected(self):
-        basis = standard_basis(2, kind="traceless")
-        ss = SampleSet([np.eye(2) / 2])
-        with pytest.raises(ValidationError):
-            solve_barycenter(
-                ss, constraint=basis, config=SolverConfig(step_rule="fixed-point")
-            )
-
     def test_projected_descent_unconstrained_agrees(self):
         rng = np.random.default_rng(16)
         ss = SampleSet([rand_spd(rng, 2) for _ in range(4)])
         fp = solve_barycenter(ss)
         pgd = solve_barycenter(
-            ss, config=SolverConfig(step_rule="affine-newton", max_iter=5000)
+            ss, constraint=standard_basis(2), config=SolverConfig(max_iter=5000)
         )
         assert np.linalg.norm(fp.barycenter.array - pgd.barycenter.array) <= 1e-8
 
@@ -400,22 +398,20 @@ class TestAffineNewton:
     def test_unconstrained_matches_fixed_point(self):
         # at the default max_iter; the fixed point is the tighter reference
         rng = np.random.default_rng(20)
-        newton = SolverConfig(step_rule="affine-newton")
         reference = SolverConfig(tol_residual=1e-13)
         for d, n in ((2, 3), (3, 7), (4, 5)):
             ss = SampleSet([rand_spd(rng, d, 0.2, 5.0) for _ in range(n)])
             fp = solve_barycenter(ss, config=reference).barycenter.array
-            nt = solve_barycenter(ss, config=newton).barycenter.array
+            nt = solve_barycenter(ss, constraint=standard_basis(d)).barycenter.array
             assert np.linalg.norm(fp - nt) <= 1e-10
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_variance_never_increases(self, constrained):
         rng = np.random.default_rng(21)
-        cfg = SolverConfig(step_rule="affine-newton")
-        basis = standard_basis(3, kind="traceless") if constrained else None
+        basis = standard_basis(3, kind="traceless" if constrained else "full")
         for _ in range(10):
             ss = SampleSet(density_samples(rng, 3, 8, 0.05, 5.0))
-            history = solve_barycenter(ss, constraint=basis, config=cfg).variance_history
+            history = solve_barycenter(ss, constraint=basis).variance_history
             assert len(history) >= 3
             # up to roundoff in trace units; the samples have trace 1
             assert np.all(np.diff(history) <= VARIANCE_REL_SLACK)
@@ -492,8 +488,8 @@ class TestSolverConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValidationError):
             SolverConfig(tol_residual=0.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(step_rule="newton")
+        with pytest.raises(ValidationError, match="tol_residual"):
+            SolverConfig(tol_residual=float("inf"))
         with pytest.raises(ValidationError, match="max_iter"):
             SolverConfig(max_iter="5")
         with pytest.raises(ValidationError, match="max_iter"):

@@ -10,6 +10,7 @@ from bwbary import (
     frechet_variance,
     load_bundle,
     save_bundle,
+    transport_map,
 )
 from bwbary.cli import main
 
@@ -70,6 +71,20 @@ class TestMap:
         assert payload["push_forward_residual"] <= 1e-10
         t = load_bundle(out_path)[0].array
         assert np.allclose(t, np.diag([2.0, 1.5]))
+
+    @pytest.mark.parametrize("complex_q", [True, False], ids=["complex-q", "complex-s"])
+    def test_mixed_modes_write_complex_map(self, tmp_path, capsys, complex_q):
+        herm, diag = np.array([[2.0, 1j], [-1j, 2.0]]), np.diag([1.0, 3.0])
+        q, s = (herm, diag) if complex_q else (diag, herm)
+        save_bundle(SampleSet([q]), tmp_path / "q.mat")
+        save_bundle(SampleSet([s]), tmp_path / "s.mat")
+        out_path = tmp_path / "t.mat"
+        code, _, err = run_cli(capsys, "map", tmp_path / "q.mat", tmp_path / "s.mat",
+                               "--out", out_path)
+        assert code == 0, err
+        written = load_bundle(out_path)
+        assert written.mode == "complex"
+        assert np.array_equal(written[0].array, transport_map(q, s).matrix.array)
 
 
 class TestBarycenter:
@@ -270,7 +285,8 @@ class TestConfigFuzz:
     def mutants(cls, base):
         bad = {key: cls.WRONG_TYPES + (0, -1) for key in cls.COUNTS}
         bad["seed"] = cls.WRONG_TYPES + (-1,)
-        bad["solver_tol"] = (True, False, None, "x", [1e-10], {}, 0, -1, float("nan"))
+        bad["solver_tol"] = (True, False, None, "x", [1e-10], {}, 0, -1, float("nan"),
+                             float("inf"))
         bad["n_grid"] = (True, None, "3", 3, [], [True], [0], [-1], [2.5], [4, 3], {})
         bad["eig_law"] = (True, None, "12", 1.0, [], [1.0], [True, 2.0], [0, 2], [-1, 2],
                           [2, 1], [1, 2, 3], ["1", "2"], [1.0, float("inf")])
@@ -295,6 +311,51 @@ class TestConfigFuzz:
             assert code in (1, 2), mutant
             assert err.startswith("error: ") and "Traceback" not in err, mutant
             assert not out.exists(), mutant
+
+
+class TestNonFinite:
+    """No non-finite number gets in or out: a non-finite input is exit 1, a
+    finite input whose result overflows is exit 2, each with a one-line
+    error."""
+
+    @staticmethod
+    def _fails(capsys, code, *argv):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, (argv, out, err)
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--c-q", "inf"), ("--c-q", "nan"),
+                                             ("--t", "inf"), ("--norm-q-star", "inf")])
+    def test_envelope_q_input_is_exit_1(self, capsys, flag, value):
+        argv = {"--c-q": "1", "--t": "1", "--norm-q-star": "1", flag: value}
+        self._fails(capsys, 1, "envelope", "--kind", "q", "--d", "2", "--n", "10",
+                    *(tok for item in argv.items() for tok in item))
+
+    @pytest.mark.parametrize("flag", ["--b", "--nu", "--norm-f-prime", "--t"])
+    def test_envelope_v_input_is_exit_1(self, capsys, flag):
+        argv = {"--b": "1", "--nu": "1", "--c-q": "1", "--norm-f-prime": "1", "--t": "2",
+                flag: "inf"}
+        self._fails(capsys, 1, "envelope", "--kind", "v", "--d", "2", "--n", "10",
+                    *(tok for item in argv.items() for tok in item))
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    def test_overflowing_envelope_is_exit_2(self, capsys, kind):
+        extra = () if kind == "q" else ("--b", "1", "--nu", "1", "--norm-f-prime", "1")
+        self._fails(capsys, 2, "envelope", "--kind", kind, "--c-q", "1e308", "--d", "2",
+                    "--n", "10", "--t", "1e308", *extra)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_is_exit_1(self, workdir, capsys, entry):
+        (workdir / "mb.txt").write_text(f"3 {entry}\n")
+        self._fails(capsys, 1, "distance", workdir / "q.mat", workdir / "s.mat",
+                    "--means", workdir / "ma.txt", workdir / "mb.txt")
+
+    def test_infinite_tolerance_is_exit_1(self, workdir, capsys):
+        out_path = workdir / "b.mat"
+        self._fails(capsys, 1, "barycenter", workdir / "rich.mat", "--tol", "inf",
+                    "--out", out_path)
+        assert not out_path.exists()
 
 
 class TestEnvelope:

@@ -3,6 +3,7 @@ import pytest
 
 from bwbary import (
     DimensionMismatchError,
+    PsdMatrix,
     SingularMatrixError,
     bw_distance,
     bw_distance_sq,
@@ -10,12 +11,12 @@ from bwbary import (
     operator_matrix,
     sqrt_psd,
     standard_basis,
-    transport_differential,
     transport_map,
 )
 from bwbary.hermitian import frobenius_inner
 
-from helpers import rand_hermitian, rand_psd_singular, rand_spd
+from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_psd_singular,
+                     rand_spd)
 
 
 class TestDistance:
@@ -119,11 +120,42 @@ class TestTransportMap:
         with pytest.raises(SingularMatrixError):
             transport_map(np.diag([1.0, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("complex_q", [True, False], ids=["complex-q", "complex-s"])
+    def test_mixed_modes_match_complex_pair(self, complex_q):
+        # a complex argument makes T complex, whichever side it is on
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            q = rand_spd(rng, 3, complex_mode=complex_q)
+            s = rand_spd(rng, 3, complex_mode=not complex_q)
+            x = rand_hermitian(rng, 3, complex_mode=True)
+            mixed = transport_map(q, s)
+            oracle = transport_map(q.astype(complex), s.astype(complex))
+            assert mixed.matrix.mode == "complex"
+            assert np.allclose(mixed.matrix.array, oracle.matrix.array, atol=1e-12)
+            assert mixed.push_forward_error() <= 1e-10
+            assert np.allclose(mixed.apply(x), oracle.apply(x), atol=1e-12)
+            assert np.allclose(bw_gradient(q, s), np.eye(3) - oracle.matrix.array, atol=1e-12)
+
+    def test_map_and_differential_from_one_prep(self, monkeypatch):
+        # the pair's gate decompositions are kept: T decomposes the prep and
+        # the gate of T, dT reads the prep, and the gradient does the same
+        rng = np.random.default_rng(23)
+        q, s = PsdMatrix(rand_spd(rng, 3)), PsdMatrix(rand_spd(rng, 3))
+        x = rand_hermitian(rng, 3)
+        shapes = count_decompositions(monkeypatch)
+        t = transport_map(q, s)
+        t.apply(x)
+        t.apply_rescaled(x)
+        assert matrix_count(shapes) <= 2
+        shapes.clear()
+        bw_gradient(q, s)
+        assert matrix_count(shapes) <= 2
+
 
 class TestTransportDifferential:
     def test_identity_pair(self):
         rng = np.random.default_rng(7)
-        dt = transport_differential(np.eye(3), np.eye(3))
+        dt = transport_map(np.eye(3), np.eye(3))
         x = rand_hermitian(rng, 3)
         assert np.allclose(dt.apply(x), -x / 2, atol=1e-12)
 
@@ -131,7 +163,7 @@ class TestTransportDifferential:
         # S = Q = diag(q): dT(X)_ij = -X_ij / (q_i + q_j)
         rng = np.random.default_rng(8)
         q = np.diag([1.0, 2.0, 5.0])
-        dt = transport_differential(q, q)
+        dt = transport_map(q, q)
         x = rand_hermitian(rng, 3)
         qv = np.diag(q)
         expected = -x / (qv[:, None] + qv[None, :])
@@ -142,7 +174,7 @@ class TestTransportDifferential:
         for _ in range(20):
             d = rng.integers(2, 6)
             q, s = rand_spd(rng, d), rand_spd(rng, d)
-            dt = transport_differential(q, s)
+            dt = transport_map(q, s)
             x, y = rand_hermitian(rng, d), rand_hermitian(rng, d)
             assert abs(
                 frobenius_inner(dt.apply(x), y) - frobenius_inner(x, dt.apply(y))
@@ -155,10 +187,11 @@ class TestTransportDifferential:
             d = rng.integers(2, 5)
             q, s = rand_spd(rng, d), rand_spd(rng, d)
             x = rand_hermitian(rng, d)
-            dt = transport_differential(q, s)
+            dt = transport_map(q, s)
             lam = np.linalg.eigvalsh(sqrt_psd(s).array @ q @ sqrt_psd(s).array)
             inv_root = np.linalg.inv(sqrt_psd(q).array)
             zeta_sq = np.linalg.norm(inv_root @ x @ inv_root) ** 2
+            assert np.allclose(dt.eigenvalues, lam, rtol=1e-10)
             val = -frobenius_inner(dt.apply(x), x)
             assert val <= 0.5 * np.sqrt(lam[-1]) * zeta_sq + 1e-9
             assert val >= 0.5 * np.sqrt(lam[0]) * zeta_sq - 1e-9
@@ -167,7 +200,7 @@ class TestTransportDifferential:
         rng = np.random.default_rng(11)
         for d in (2, 3, 5):
             q, s = rand_spd(rng, d), rand_spd(rng, d)
-            dt = transport_differential(q, s)
+            dt = transport_map(q, s)
             basis = standard_basis(d)
             mat = -operator_matrix(dt, basis, rescaled=True).matrix
             eig = np.linalg.eigvalsh(mat)
@@ -179,11 +212,11 @@ class TestTransportDifferential:
         rng = np.random.default_rng(12)
         q, s = rand_spd(rng, 3), rand_spd(rng, 3)
         x = rand_hermitian(rng, 3)
-        base = transport_differential(q, s).apply(x)
+        base = transport_map(q, s).apply(x)
         for a in (0.5, 2.0, 4.0):
-            scaled_q = transport_differential(a * q, s).apply(x)
+            scaled_q = transport_map(a * q, s).apply(x)
             assert np.linalg.norm(scaled_q - a ** (-1.5) * base) <= 1e-10
-            scaled_s = transport_differential(q, a * s).apply(x)
+            scaled_s = transport_map(q, a * s).apply(x)
             assert np.linalg.norm(scaled_s - a ** 0.5 * base) <= 1e-10
 
     def test_monotonicity_spot_check(self):
@@ -194,8 +227,8 @@ class TestTransportDifferential:
             bump = rand_spd(rng, 3, 0.1, 0.5)
             q1 = q0 + bump
             s = rand_spd(rng, 3)
-            m0 = operator_matrix(transport_differential(q0, s), basis).matrix
-            m1 = operator_matrix(transport_differential(q1, s), basis).matrix
+            m0 = operator_matrix(transport_map(q0, s), basis).matrix
+            m1 = operator_matrix(transport_map(q1, s), basis).matrix
             assert np.linalg.eigvalsh(m1 - m0)[0] >= -1e-9
 
     def test_first_order_expansion_of_t(self):
@@ -204,8 +237,8 @@ class TestTransportDifferential:
             d = rng.integers(2, 5)
             q, s = rand_spd(rng, d), rand_spd(rng, d)
             x = rand_hermitian(rng, d)
-            dt = transport_differential(q, s)
-            t0 = transport_map(q, s).matrix.array
+            dt = transport_map(q, s)
+            t0 = dt.matrix.array
             errs = []
             for eps in (1e-3, 1e-4):
                 t1 = transport_map(q + eps * x, s).matrix.array
@@ -219,8 +252,8 @@ class TestTransportDifferential:
             q = rand_spd(rng, 3)
             s = rand_psd_singular(rng, 3, rank)
             x = rand_hermitian(rng, 3)
-            dt = transport_differential(q, s)
-            t0 = transport_map(q, s).matrix.array
+            dt = transport_map(q, s)
+            t0 = dt.matrix.array
             errs = []
             for eps in (1e-3, 1e-4):
                 t1 = transport_map(q + eps * x, s).matrix.array
@@ -231,7 +264,7 @@ class TestTransportDifferential:
         rng = np.random.default_rng(15)
         s = np.diag([2.0, 1.0, 0.0])
         q = rand_spd(rng, 3)
-        dt = transport_differential(q, s)
+        dt = transport_map(q, s)
         y = dt.apply(rand_hermitian(rng, 3))
         assert np.allclose(y[2, :], 0.0, atol=1e-12)
         assert np.allclose(y[:, 2], 0.0, atol=1e-12)
@@ -269,7 +302,7 @@ class TestQuadraticSandwich:
             q_prime = inv_root @ q1 @ inv_root
             lam = np.linalg.eigvalsh((q_prime + q_prime.T) / 2)
             quad = -frobenius_inner(
-                transport_differential(q0, s).apply(delta), delta
+                transport_map(q0, s).apply(delta), delta
             )
             mid = (
                 bw_distance_sq(q1, s)
@@ -284,24 +317,19 @@ class TestQuadraticSandwich:
 class TestOperatorMatrix:
     def test_identity_pair_full_basis(self):
         basis = standard_basis(2)
-        dt = transport_differential(np.eye(2), np.eye(2))
+        dt = transport_map(np.eye(2), np.eye(2))
         mat = -operator_matrix(dt, basis).matrix
         assert np.allclose(mat, 0.5 * np.eye(3), atol=1e-12)
 
     def test_rescaled_diagonal_min_eigenvalue(self):
         q = np.diag([1.5, 0.5, 3.0])
         basis = standard_basis(3)
-        dt = transport_differential(q, q)
+        dt = transport_map(q, q)
         mat = -operator_matrix(dt, basis, rescaled=True).matrix
         assert np.linalg.eigvalsh(mat)[0] == pytest.approx(0.25, rel=1e-10)
 
     def test_traceless_dimension(self):
         basis = standard_basis(2, kind="traceless")
         assert basis.dim_m == 2
-        dt = transport_differential(np.eye(2), np.eye(2))
+        dt = transport_map(np.eye(2), np.eye(2))
         assert operator_matrix(dt, basis).matrix.shape == (2, 2)
-
-    def test_accepts_callable(self):
-        basis = standard_basis(2)
-        op = operator_matrix(lambda x: 3.0 * x, basis)
-        assert np.allclose(op.matrix, 3.0 * np.eye(3))

@@ -28,7 +28,6 @@ from bwbary import (
     standard_basis,
     studentized_statistic,
     subexp_tail,
-    transport_differential,
     transport_map,
     variance_clt_stats,
     vectorize,
@@ -129,7 +128,7 @@ class TestFHat:
         mats = [rand_spd(rng, 3) for _ in range(4)]
         fast = estimate_f_hat(SampleSet(mats), q, basis).matrix
         slow = -np.mean(
-            [operator_matrix(transport_differential(q, s), basis).matrix for s in mats],
+            [operator_matrix(transport_map(q, s), basis).matrix for s in mats],
             axis=0,
         )
         assert np.allclose(fast, slow, atol=1e-10)
@@ -172,7 +171,7 @@ class TestFHat:
         root = sqrt_psd(q).array
         m = white.dim_m
         slow = np.zeros((m, m))
-        diffs = [transport_differential(q, s) for s in mats]
+        diffs = [transport_map(q, s) for s in mats]
         for l in range(m):
             inner = root @ white.basis[l] @ root
             image = -np.mean([dt.apply(inner) for dt in diffs], axis=0)
@@ -195,7 +194,7 @@ class TestFHat:
         q = rand_spd(rng, 3, complex_mode=complex_mode)
         mats = [rand_spd(rng, 3, complex_mode=complex_mode) for _ in range(4)]
         white = _orthonormal_congruence(basis, q)
-        oracle = -np.mean([operator_matrix(transport_differential(q, s), white,
+        oracle = -np.mean([operator_matrix(transport_map(q, s), white,
                                            rescaled=True).matrix for s in mats], axis=0)
         lam = _f_prime_spectrum(SampleSet(mats), q, basis)
         assert np.allclose(lam, np.linalg.eigvalsh(oracle), rtol=1e-12, atol=0)
@@ -273,7 +272,7 @@ class TestSharedPrep:
         ss = SampleSet(mats, weights=weights, mode=mode)
         q = rand_spd(rng, 3, complex_mode=complex_mode)
         basis = standard_basis(3, mode=mode)
-        f_ref = -sum(w * operator_matrix(transport_differential(q, s), basis).matrix
+        f_ref = -sum(w * operator_matrix(transport_map(q, s), basis).matrix
                      for w, s in zip(weights, mats))
         coords = [vectorize(basis, transport_map(q, s).matrix.array - np.eye(3))
                   for s in mats]

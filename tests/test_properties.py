@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from bwbary import (
     SampleSet,
-    SolverConfig,
     ValidationError,
     bw_distance,
     solve_barycenter,
@@ -42,7 +41,7 @@ def _solve(rule, mats, weights=None, mode=None):
     constraint = None
     if rule == "affine-newton":
         constraint = standard_basis(ss.dim, mode=ss.mode, kind="traceless")
-    result = solve_barycenter(ss, constraint=constraint, config=SolverConfig(step_rule=rule))
+    result = solve_barycenter(ss, constraint=constraint)
     return result.barycenter.array
 
 
