@@ -46,12 +46,12 @@ VARIANCE_REL_SLACK = 1e-10
 class SampleSet:
     """An ordered collection of PSD matrices with normalized weights.
 
-    The roots S_i^{1/2} come from the input gate's eigendecomposition.  The
-    memo of the last transport prep is replaced whole, so threads sharing a
-    set can at worst recompute the same prep.
+    The roots S_i^{1/2} and strict-positivity flags come from the input gate's
+    eigendecomposition.  The memo of the last transport prep is replaced
+    whole, so threads sharing a set can at worst recompute the same prep.
     """
 
-    __slots__ = ("array", "weights", "mode", "roots", "_strictly_positive", "_prep")
+    __slots__ = ("array", "weights", "mode", "roots", "_pd", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
         if not isinstance(matrices, np.ndarray):
@@ -80,15 +80,26 @@ class SampleSet:
             total = float(w.sum())
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
-        roots = _spectral(eigs, vecs, _clipped_sqrt)
-        for a in (stack, w, roots):
+        self._init(stack, w, mode, _spectral(eigs, vecs, _clipped_sqrt), _is_pd(eigs))
+
+    def _init(self, stack, weights, mode, roots, pd) -> None:
+        for a in (stack, weights, roots, pd):
             a.setflags(write=False)
         self.array = stack
-        self.weights = w
+        self.weights = weights
         self.mode = mode
         self.roots = roots
-        self._strictly_positive = bool(np.any(_is_pd(eigs) & (w > 0)))
+        self._pd = pd
         self._prep = None
+
+    def _take(self, idx) -> SampleSet:
+        """The uniformly weighted resample self[idx], bitwise SampleSet(self.array[idx])
+        without its gate: eigh works matrix by matrix, and a row is its own
+        Hermitian part."""
+        out = SampleSet.__new__(SampleSet)
+        n = len(idx)
+        out._init(self.array[idx], np.full(n, 1.0 / n), self.mode, self.roots[idx], self._pd[idx])
+        return out
 
     @property
     def dim(self) -> int:
@@ -102,7 +113,7 @@ class SampleSet:
 
     def has_strictly_positive(self) -> bool:
         """True when some sample with positive weight is strictly positive."""
-        return self._strictly_positive
+        return bool(np.any(self._pd & (self.weights > 0)))
 
     def transport_prep(self, q: np.ndarray) -> TransportPrep:
         """Maps T_Q^{S_i} and dT data at a validated base point Q, memoised

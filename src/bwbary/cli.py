@@ -227,15 +227,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except NumericalError as exc:
+    except (BwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
     return 0
 
 

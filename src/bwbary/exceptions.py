@@ -4,6 +4,10 @@ Validation errors (bad inputs, malformed files) map to CLI exit code 1,
 numerical errors (non-convergence, degenerate covariances) to exit code 2.
 """
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class BwError(Exception):
     """Base class for all library errors."""
@@ -58,6 +62,16 @@ class DegenerateInputError(ValidationError):
 
 class NumericalError(BwError):
     """A numerical procedure failed."""
+
+
+@contextmanager
+def _overflow_is_error(what: str):
+    """A floating-point overflow in the block is a NumericalError, not a warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericalError(f"{what} overflows") from None
 
 
 class ConvergenceError(NumericalError):

@@ -367,19 +367,15 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
         raise ValidationError("d must be >= 1")
     if mode not in (REAL, COMPLEX):
         raise ValidationError(f"unknown mode {mode!r}")
+    if kind not in ("full", "traceless"):
+        raise ValidationError(f"unknown basis kind {kind!r}")
+    if kind == "traceless" and d < 2:
+        raise ValidationError("traceless basis requires d >= 2")
     dtype = np.complex128 if mode == COMPLEX else np.float64
-    if kind == "full":
-        diag = _diag_embed(np.eye(d), d, dtype)
-        elements = list(diag) + _offdiag_elements(d, mode)
-        return SubspaceBasis(np.stack(elements), mode=mode)
-    if kind == "traceless":
-        if d < 2:
-            raise ValidationError("traceless basis requires d >= 2")
-        diag = _diag_embed(_helmert_rows(d), d, dtype)
-        elements = list(diag) + _offdiag_elements(d, mode)
-        anchor = PsdMatrix(np.eye(d, dtype=dtype) / d, mode=mode)
-        return SubspaceBasis(np.stack(elements), mode=mode, anchor=anchor)
-    raise ValidationError(f"unknown basis kind {kind!r}")
+    diag = _diag_embed(np.eye(d) if kind == "full" else _helmert_rows(d), d, dtype)
+    anchor = PsdMatrix(np.eye(d, dtype=dtype) / d, mode=mode) if kind == "traceless" else None
+    return SubspaceBasis(np.stack(list(diag) + _offdiag_elements(d, mode)), mode=mode,
+                         anchor=anchor)
 
 
 class OperatorOnM:

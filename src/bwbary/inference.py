@@ -16,6 +16,7 @@ from .exceptions import (
     DegenerateCovarianceError,
     DimensionMismatchError,
     ValidationError,
+    _overflow_is_error,
 )
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
 from .hermitian import (
@@ -54,11 +55,15 @@ class CltReport:
     variance_stat: float
 
 
-def _check_dims(q: PsdMatrix, ss, basis: SubspaceBasis):
-    if q.dim != ss.dim:
-        raise DimensionMismatchError(f"dimensions differ: {q.dim} vs {ss.dim}")
-    if basis.dim_ambient != q.dim:
+def _checked(samples, q, basis: SubspaceBasis):
+    """The sample set and the strictly positive base point, of one dimension."""
+    ss = as_sample_set(samples)
+    qm = as_psd(q, require_pd=True)
+    if qm.dim != ss.dim:
+        raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
+    if basis.dim_ambient != qm.dim:
         raise DimensionMismatchError("basis ambient dimension does not match")
+    return ss, qm
 
 
 def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
@@ -67,9 +72,7 @@ def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     Materializes sum_i w_i (T_i - I) (x) (T_i - I) in basis coordinates, with
     T_i the optimal map from Q to S_i.  PSD by construction.
     """
-    ss = as_sample_set(samples)
-    qm = as_psd(q, require_pd=True)
-    _check_dims(qm, ss, basis)
+    ss, qm = _checked(samples, q, basis)
     t = ss.transport_prep(qm.array).t
     coords = _coords(basis, t - np.eye(ss.dim, dtype=t.dtype))
     mat = np.einsum("n,nk,nl->kl", ss.weights, coords, coords)
@@ -82,9 +85,7 @@ def estimate_f_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     Positive definite whenever some sample is strictly positive.  The rescaled
     F' of `eta_n_diagnostic` has its generalized spectrum against a Gram matrix.
     """
-    ss = as_sample_set(samples)
-    qm = as_psd(q, require_pd=True)
-    _check_dims(qm, ss, basis)
+    ss, qm = _checked(samples, q, basis)
     prep = ss.transport_prep(qm.array)
     return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
 
@@ -209,9 +210,7 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     bound = eta / (1 - 3 eta / 4) when eta < 4/3, else None.  The residual
     and F' read the prep at Q*, which a later `frechet_variance` at Q* reuses.
     """
-    ss = as_sample_set(samples)
-    qm = as_psd(q_star, require_pd=True)
-    _check_dims(qm, ss, basis)
+    ss, qm = _checked(samples, q_star, basis)
     t = ss.transport_prep(qm.array).t
     mean_t = np.einsum("n,nij->ij", ss.weights, t)
     projected = project_subspace(basis, mean_t - np.eye(ss.dim, dtype=t.dtype))
@@ -328,7 +327,8 @@ def concentration_envelope_dbw(c_q: float, norm_q_star: float, d: int, n: int,
                                t: float) -> float:
     """Distance version of the envelope, scaled by ||Q*||^{1/2}."""
     _positive(norm_q_star, "norm_q_star")
-    return np.sqrt(norm_q_star) * concentration_envelope_q(c_q, d, n, t)
+    with _overflow_is_error("the distance envelope"):
+        return np.sqrt(norm_q_star) * concentration_envelope_q(c_q, d, n, t)
 
 
 def concentration_envelope_v(b: float, nu: float, c_q: float, norm_f_prime: float,

@@ -5,6 +5,7 @@ schema-validated simulation reports."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -13,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import jsonschema
+from jsonschema import Draft202012Validator
 
 from .barycenter import SampleSet, SolverConfig, solve_barycenter
-from .exceptions import DimensionMismatchError, ParseError, ValidationError
+from .exceptions import DimensionMismatchError, ParseError, ValidationError, _overflow_is_error
 from .geometry import bw_distance_sq
 from .hermitian import COMPLEX, PsdMatrix, REAL, as_psd
 
@@ -200,7 +202,8 @@ def w2_distance_sq(a: LocationScaleMeasure, b: LocationScaleMeasure) -> float:
     ||m1 - m2||^2 + d_BW^2(S1, S2)."""
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatchError("mean dimensions differ")
-    gap = float(np.sum((a.mean - b.mean) ** 2))
+    with _overflow_is_error("the squared mean gap"):
+        gap = float(np.sum((a.mean - b.mean) ** 2))
     return gap + bw_distance_sq(a.covariance, b.covariance)
 
 
@@ -222,16 +225,31 @@ def scale_location_barycenter(measures, weights=None,
 # ---------------------------------------------------------------------------
 
 
-def report_schema() -> dict:
-    text = resources.files("bwbary").joinpath(f"schemas/{SCHEMA_NAME}.json").read_text()
-    return json.loads(text)
+def _fast_items(validator, items, instance, schema):
+    """`items` on a list of plain numbers: the validator's type rule on each entry (on
+    one per type for the type-only "number"); anything else, or a failure, goes stock."""
+    if items in ({"type": "number"}, {"type": "integer"}) and "prefixItems" not in schema \
+            and validator.is_type(instance, "array"):
+        kind = items["type"]
+        probes = dict(zip(map(type, instance), instance)).values() if kind == "number" else instance
+        if all(validator.TYPE_CHECKER.is_type(x, kind) for x in probes):
+            return
+    yield from Draft202012Validator.VALIDATORS["items"](validator, items, instance, schema)
+
+
+@functools.cache
+def _report_validator():
+    """The report schema's validator, checked and built once."""
+    schema = json.loads((resources.files("bwbary") / "schemas" / f"{SCHEMA_NAME}.json").read_text())
+    cls = jsonschema.validators.extend(Draft202012Validator, {"items": _fast_items})
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_report(data: dict) -> None:
-    try:
-        jsonschema.validate(data, report_schema())
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"report does not match {SCHEMA_NAME}: {exc.message}")
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(data))
+    if error is not None:
+        raise ValidationError(f"report does not match {SCHEMA_NAME}: {error.message}")
 
 
 def _reject_constant(name):

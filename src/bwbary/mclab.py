@@ -200,12 +200,12 @@ def _experiment_basis(config: ExperimentConfig) -> SubspaceBasis:
     return standard_basis(config.d, mode=REAL, kind=kind)
 
 
-def _replicate_draw(config: ExperimentConfig, pool: np.ndarray, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _replicate_draw(config: ExperimentConfig, pool: SampleSet, n: int,
+                    rng: np.random.Generator) -> SampleSet:
+    """A replicate's n samples: a resample reusing the pool's gate, or fresh draws."""
     if config.sampling == "pool":
-        idx = rng.integers(0, pool.shape[0], size=n)
-        return pool[idx]
-    return _draw_samples(config, n, rng)
+        return pool._take(rng.integers(0, len(pool), size=n))
+    return SampleSet(_draw_samples(config, n, rng))
 
 
 def _population(config: ExperimentConfig, rng=None):
@@ -225,8 +225,7 @@ def population_proxy(config: ExperimentConfig, rng=None):
     Solved to residual 1e-10 from pop_proxy_size fresh draws of the configured
     law.  An explicit rng overrides the seed-derived proxy stream.
     """
-    q_star, v_star, _ = _population(config, rng)
-    return q_star, v_star
+    return _population(config, rng)[:2]
 
 
 @dataclass
@@ -300,7 +299,7 @@ def _replicated(config: ExperimentConfig, pool: SampleSet, basis: SubspaceBasis,
     def job(task):
         n, k = task
         rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
-        ss = SampleSet(_replicate_draw(config, pool.array, n, rng))
+        ss = _replicate_draw(config, pool, n, rng)
         try:
             result = solve_barycenter(ss, constraint=constraint, config=solver_cfg)
         except NumericalError as exc:

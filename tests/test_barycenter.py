@@ -92,6 +92,26 @@ class TestSampleSet:
         ss = SampleSet([np.diag([1.0, 2.0])])
         assert np.allclose(ss[0].array, np.diag([1.0, 2.0]))
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_take_is_the_gate_of_the_resampled_rows(self, complex_mode):
+        # a resample reads its rows, roots and positivity flags from the pool's
+        # gate; they are bitwise what the gate computes for the same rows
+        rng = np.random.default_rng(11)
+        mats = [rand_spd(rng, 3, 0.1, 40.0, complex_mode=complex_mode) for _ in range(40)]
+        mats += [rand_psd_singular(rng, 3, rank) for rank in (0, 1, 2)]
+        pool = SampleSet(mats, weights=rng.dirichlet(np.ones(len(mats))))
+        singular = np.arange(40, 43)
+        draws = [rng.integers(0, len(pool), size=size) for size in (1, 5, 43, 200)]
+        for idx in draws + [singular, singular[[2, 2, 0]], np.array([7, 41, 7])]:
+            got, want = pool._take(idx), SampleSet(pool.array[idx])
+            for name in ("array", "roots", "weights"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert not a.flags.writeable
+            assert got.mode == want.mode == pool.mode
+            assert got.has_strictly_positive() == want.has_strictly_positive()
+        assert not pool._take(singular).has_strictly_positive()
+
 
 class TestVarianceWarningScale:
     @pytest.mark.parametrize("step_rule", ["fixed-point", "affine-newton"])

@@ -345,6 +345,16 @@ class TestNonFinite:
         self._fails(capsys, 2, "envelope", "--kind", kind, "--c-q", "1e308", "--d", "2",
                     "--n", "10", "--t", "1e308", *extra)
 
+    def test_overflowing_distance_envelope_is_exit_2(self, capsys):
+        # the envelope itself is finite; its product with ||Q*||^{1/2} is not
+        self._fails(capsys, 2, "envelope", "--kind", "q", "--c-q", "1",
+                    "--norm-q-star", "1e308", "--d", "2", "--n", "10", "--t", "1e300")
+
+    def test_overflowing_mean_gap_is_exit_2(self, workdir, capsys):
+        (workdir / "mb.txt").write_text("1e200 0\n")
+        self._fails(capsys, 2, "distance", workdir / "q.mat", workdir / "s.mat",
+                    "--means", workdir / "ma.txt", workdir / "mb.txt")
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_mean_is_exit_1(self, workdir, capsys, entry):
         (workdir / "mb.txt").write_text(f"3 {entry}\n")

@@ -331,6 +331,20 @@ class TestSharedPrep:
         estimate_f_hat(ss, q_n, basis)
         assert matrix_count(shapes) <= 4 * n + 10
 
+    def test_pooled_replicate_decomposition_count(self, monkeypatch):
+        # a resample of a validated pool reuses the pool's gate, so only the
+        # three solver evaluations decompose a stack
+        n = 1000
+        pool = SampleSet(_random_spd_stack(4 * n, 3, (18.0, 22.0), np.random.default_rng(42)))
+        idx = np.random.default_rng(43).integers(0, len(pool), size=n)
+        shapes = count_decompositions(monkeypatch)
+        ss = pool._take(idx)
+        q_n = solve_barycenter(ss).barycenter
+        basis = standard_basis(3)
+        estimate_sigma_hat(ss, q_n, basis)
+        estimate_f_hat(ss, q_n, basis)
+        assert matrix_count(shapes) <= 3 * n + 10
+
     def test_infer_decomposition_count(self, monkeypatch, tmp_path, capsys):
         # the bundle's gate, whose eigh gives the roots, one prep at Q* that eta
         # and V share, and three solver evaluations, the last of which Sigma-hat

@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 import tempfile
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from bwbary import (
     LocationScaleMeasure,
@@ -18,12 +21,14 @@ from bwbary import (
     load_bundle,
     load_report,
     run_clt_experiment,
+    run_concentration_experiment,
     save_bundle,
     save_report,
     scale_location_barycenter,
     w2_distance_sq,
     write_report_csv,
 )
+from bwbary import io as bwio
 from bwbary.mclab import ExperimentConfig
 
 from helpers import rand_spd
@@ -311,3 +316,85 @@ class TestReports:
         values = [float(line.split(",")[1]) for line in sample[1:]]
         report_values = [r["dbw"] for r in report.per_n[0]["replicates"]]
         assert values == report_values
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _numeric_arrays(node, path=()):
+    """The paths of the nonempty lists of numbers in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_arrays(value, path + (key,))
+    elif isinstance(node, list):
+        if node and all(type(x) in (int, float) for x in node):
+            yield path
+        else:
+            for i, value in enumerate(node):
+                yield from _numeric_arrays(value, path + (i,))
+
+
+def _corrupted_reports(report):
+    """(label, report) pairs, each breaking the schema in one place: the first
+    entry of every numeric array replaced by a non-number (or, in an integer
+    array, by 1.5, also ahead of a valid integral float), a required key
+    dropped, or an unknown key added."""
+    for path in _numeric_arrays(report):
+        integral = all(type(x) is int for x in _at(report, path))
+        for bad in ["x", True, [1.0], None, {}] + ([1.5] if integral else []):
+            broken = copy.deepcopy(report)
+            _at(broken, path)[0] = bad
+            yield f"{path}[0] = {bad!r}", broken
+        if integral and len(_at(report, path)) > 1:
+            broken = copy.deepcopy(report)
+            _at(broken, path)[0], _at(broken, path)[-1] = 1.5, 2.0
+            yield f"{path}[0] = 1.5, [-1] = 2.0", broken
+    record = ("per_n", 0, "replicates", 0)
+    for where, key in [((), "per_n"), ((), "population"), (("config",), "d"),
+                       (record, "q_n"), (("per_n", 0), "summaries")]:
+        broken = copy.deepcopy(report)
+        del _at(broken, where)[key]
+        yield f"{where} without {key!r}", broken
+    for where in [(), ("config",), ("population",), record, ("per_n", 0)]:
+        broken = copy.deepcopy(report)
+        _at(broken, where)["extra"] = 1.0
+        yield f"{where} with 'extra'", broken
+
+
+class TestReportValidatorOracle:
+    """The report validator's fast `items` path against the stock 2020-12
+    validator, which stays the oracle: the same verdict, message and path."""
+
+    @pytest.fixture(scope="class", params=["clt", "concentration"])
+    def report(self, request):
+        cfg = ExperimentConfig(d=2, n_grid=(3, 4), replicates=2, pop_proxy_size=40,
+                               limit_draws=5, histogram_bins=3, kde_grid_points=4, seed=7)
+        runner = run_clt_experiment if request.param == "clt" else run_concentration_experiment
+        return runner(cfg).to_dict()
+
+    def test_valid_report_passes_both(self, report):
+        oracle = Draft202012Validator(bwio._report_validator().schema)
+        assert oracle.is_valid(report)
+        assert best_match(bwio._report_validator().iter_errors(report)) is None
+
+    def test_corrupted_reports_fail_alike(self, report, tmp_path):
+        oracle = Draft202012Validator(bwio._report_validator().schema)
+        fast = bwio._report_validator()
+        path = tmp_path / "r.json"
+        cases = list(_corrupted_reports(report))
+        assert len(cases) > 50
+        for label, broken in cases:
+            want = best_match(oracle.iter_errors(broken))
+            got = best_match(fast.iter_errors(broken))
+            assert want is not None and got is not None, label
+            assert (got.message, list(got.path)) == (want.message, list(want.path)), label
+            with pytest.raises(ValidationError, match="does not match"):
+                save_report(broken, path)
+            assert not path.exists()
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ValidationError, match="does not match"):
+                load_report(path)
+            path.unlink()

@@ -146,7 +146,7 @@ class TestCltExperiment:
         block = report.per_n[0]
         rec = block["replicates"][0]
         rng = derive_rng(cfg.seed, 1, 1, 0)
-        sample = _replicate_draw(cfg, np.empty((0, 2, 2)), 1, rng)[0]
+        sample = _replicate_draw(cfg, None, 1, rng).array[0]
         assert np.allclose(np.array(rec["q_n"]), sample, atol=1e-12)
         expected = bw_distance(sample, np.array(report.q_star))
         assert rec["dbw"] == pytest.approx(expected, abs=1e-12)
@@ -189,13 +189,13 @@ class TestCltExperiment:
     def test_variance_stat_cross_check(self):
         cfg = small_config(seed=29)
         report = run_clt_experiment(cfg)
-        pool = _population(cfg)[2].array
+        pool = _population(cfg)[2]
         for block in report.per_n:
             n = block["n"]
             for rec in block["replicates"]:
                 rng = derive_rng(cfg.seed, 1, n, rec["replicate"])
-                stack = _replicate_draw(cfg, pool, n, rng)
-                v_n = frechet_variance(np.array(rec["q_n"]), SampleSet(stack))
+                samples = _replicate_draw(cfg, pool, n, rng)
+                v_n = frechet_variance(np.array(rec["q_n"]), samples)
                 recomputed = np.sqrt(n) * (v_n - report.v_star)
                 assert rec["variance"] == pytest.approx(recomputed, abs=1e-10)
 
@@ -210,11 +210,11 @@ class TestCltExperiment:
     def test_pool_sampling_draws_from_pool(self):
         cfg = small_config(sampling="pool", seed=53)
         report = run_clt_experiment(cfg)
-        pool = _population(cfg)[2].array
-        pool_bytes = {pool[i].tobytes() for i in range(pool.shape[0])}
+        pool = _population(cfg)[2]
+        pool_bytes = {pool.array[i].tobytes() for i in range(len(pool))}
         n = report.per_n[0]["n"]
         rng = derive_rng(cfg.seed, 1, n, 0)
-        stack = _replicate_draw(cfg, pool, n, rng)
+        stack = _replicate_draw(cfg, pool, n, rng).array
         assert all(stack[i].tobytes() in pool_bytes for i in range(n))
 
     def test_d10_full_protocol_smoke(self):
