@@ -42,9 +42,7 @@ from .hermitian import (
     SubspaceBasis,
     as_psd,
     devectorize,
-    pinv_sqrt_psd,
     project_subspace,
-    sqrt_differential,
     sqrt_psd,
     standard_basis,
     vectorize,

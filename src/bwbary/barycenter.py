@@ -135,17 +135,18 @@ class SampleSet:
         return np.clip(d2 - 2.0 * np.sqrt(self.transport_prep(q).lam).sum(axis=1), 0.0, None)
 
 
-def as_sample_set(value, weights=None) -> SampleSet:
-    if isinstance(value, SampleSet):
-        if weights is not None:
-            raise ValidationError("cannot re-weight an existing SampleSet")
-        return value
-    return SampleSet(value, weights=weights)
+def as_sample_set(value) -> SampleSet:
+    return value if isinstance(value, SampleSet) else SampleSet(value)
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
     """isinstance(value, kind), with bool (JSON's true and false) excluded."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    if not _is_number(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -175,11 +176,11 @@ class BarycenterResult:
     variance_history: list = field(default_factory=list)
 
 
-def frechet_variance(q, samples, weights=None) -> float:
+def frechet_variance(q, samples) -> float:
     """Weighted mean squared Bures-Wasserstein distance to the samples, from
     the prep at Q by the solver's formula: bitwise the result's variance at a
     returned barycenter, and no decomposition after an estimator at Q."""
-    ss = as_sample_set(samples, weights)
+    ss = as_sample_set(samples)
     qm = as_psd(q)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
@@ -187,9 +188,9 @@ def frechet_variance(q, samples, weights=None) -> float:
     return max(_variance_at(qm.array, lam, ss.weights, ss.mean_trace), 0.0)
 
 
-def residual(q, samples, basis: SubspaceBasis | None = None, weights=None) -> float:
+def residual(q, samples, basis: SubspaceBasis | None = None) -> float:
     """First-order residual ||Pi_M(sum_i w_i T_Q^{S_i} - I)||_F."""
-    ss = as_sample_set(samples, weights)
+    ss = as_sample_set(samples)
     qm = as_psd(q, require_pd=True)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
@@ -310,7 +311,6 @@ def solve_barycenter(
     samples,
     constraint: SubspaceBasis | None = None,
     config: SolverConfig | None = None,
-    weights=None,
 ) -> BarycenterResult:
     """Barycenter of a weighted sample, optionally on an affine set A = Q0 + M.
 
@@ -322,7 +322,7 @@ def solve_barycenter(
     the returned barycenter reuse the last one.  The exit certificate is the
     first-order residual ||Pi_M(mean T - I)||_F.
     """
-    ss = as_sample_set(samples, weights)
+    ss = as_sample_set(samples)
     cfg = config or SolverConfig()
     if not ss.has_strictly_positive():
         raise DegenerateInputError(

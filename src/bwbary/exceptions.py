@@ -4,9 +4,7 @@ Validation errors (bad inputs, malformed files) map to CLI exit code 1,
 numerical errors (non-convergence, degenerate covariances) to exit code 2.
 """
 
-from contextlib import contextmanager
-
-import numpy as np
+import math
 
 
 class BwError(Exception):
@@ -64,14 +62,11 @@ class NumericalError(BwError):
     """A numerical procedure failed."""
 
 
-@contextmanager
-def _overflow_is_error(what: str):
-    """A floating-point overflow in the block is a NumericalError, not a warning."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise NumericalError(f"{what} overflows") from None
+def _finite(value: float, what: str) -> float:
+    """value, computed in Python floats from finite inputs; inf means it overflowed."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} overflows")
+    return value
 
 
 class ConvergenceError(NumericalError):

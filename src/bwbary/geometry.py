@@ -73,10 +73,9 @@ class TransportMap:
     """Optimal transport map T with T Q T = S, pushing N(0, Q) to N(0, S), and
     the differential dT of Q -> T_Q^S at Q, both read from one transport prep.
 
-    dT is self-adjoint and negative semi-definite; `apply` evaluates it,
-    `apply_rescaled` the conjugated version zeta -> Q^{1/2} dT(Q^{1/2} zeta
-    Q^{1/2}) Q^{1/2}.  `eigenvalues` is the ascending spectrum of S^{1/2} Q
-    S^{1/2}.  Instances are immutable and can be shared between threads.
+    dT is self-adjoint and negative semi-definite; `apply` evaluates it.
+    `eigenvalues` is the ascending spectrum of S^{1/2} Q S^{1/2}.  Instances
+    are immutable and can be shared between threads.
     """
 
     matrix: PsdMatrix
@@ -99,12 +98,6 @@ class TransportMap:
             raise DimensionMismatchError("perturbation dimension mismatch")
         return hermitian_part(_dt_apply(self._prep, arr)[0])
 
-    def apply_rescaled(self, zeta) -> np.ndarray:
-        """Rescaled differential dt(zeta) = Q^{1/2} dT(Q^{1/2} zeta Q^{1/2}) Q^{1/2}."""
-        arr = zeta.array if isinstance(zeta, PsdMatrix) else np.asarray(zeta)
-        r = self.source._func(_clipped_sqrt)
-        return hermitian_part(r @ self.apply(r @ arr @ r) @ r)
-
 
 def transport_map(q, s) -> TransportMap:
     """Optimal map T = S^{1/2} (S^{1/2} Q S^{1/2})^{-1/2} S^{1/2} for Q > 0,
@@ -125,13 +118,11 @@ def bw_gradient(q, s) -> np.ndarray:
     return np.eye(len(t), dtype=t.dtype) - t
 
 
-def operator_matrix(t: TransportMap, basis: SubspaceBasis, rescaled: bool = False) -> OperatorOnM:
-    """Materialize dT of a transport map (dt when rescaled) on M as the matrix
-    <B_k, dT(B_l)>."""
-    fn = t.apply_rescaled if rescaled else t.apply
+def operator_matrix(t: TransportMap, basis: SubspaceBasis) -> OperatorOnM:
+    """Materialize dT of a transport map on M as the matrix <B_k, dT(B_l)>."""
     mat = np.empty((basis.dim_m, basis.dim_m))
     for l in range(basis.dim_m):
-        mat[:, l] = vectorize(basis, fn(basis.basis[l]))
+        mat[:, l] = vectorize(basis, t.apply(basis.basis[l]))
     return OperatorOnM(basis, mat)
 
 

@@ -1,9 +1,8 @@
 """Hermitian matrix primitives.
 
 The input policy for PSD matrices (one batched gate shared by `PsdMatrix`
-and `SampleSet`), PSD square roots and pseudo-inverse roots, the differential
-of the matrix square root, and orthonormal bases / projections for subspaces
-of Hermitian matrices.
+and `SampleSet`), PSD square roots read from its decomposition, and
+orthonormal bases / projections for subspaces of Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ def _inv_sqrt(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(w)
 
 
-def _pinv_sqrt(w: np.ndarray, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """w^{-1/2} above rank_tol times the last (largest) value of each row, else 0."""
-    keep = w > rank_tol * w[..., -1:]
+def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
+    """w^{-1/2} above RANK_REL_TOL times the last (largest) value of each row, else 0."""
+    keep = w > RANK_REL_TOL * w[..., -1:]
     return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
@@ -215,33 +214,6 @@ def sqrt_psd(a) -> PsdMatrix:
     """Principal square root of a PSD matrix."""
     mat = as_psd(a)
     return PsdMatrix(hermitian_part(mat._func(_clipped_sqrt)), mode=mat.mode)
-
-
-def pinv_sqrt_psd(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Pseudo-inverse square root (A^{1/2})^+ of a PSD matrix.
-
-    Eigenvalues above rank_tol * lam_max map to lam^{-1/2}, the rest to 0.
-    """
-    mat = as_psd(a)
-    return hermitian_part(mat._func(lambda w: _pinv_sqrt(np.clip(w, 0.0, None), rank_tol)))
-
-
-def sqrt_differential(q, x) -> np.ndarray:
-    """Differential of Q -> Q^{1/2} at a strictly positive Q, applied to X.
-
-    In the eigenbasis of Q the result divides each entry of X by
-    sqrt(q_i) + sqrt(q_j).
-    """
-    mat = as_psd(q, require_pd=True)
-    arr = np.asarray(x)
-    if arr.shape != mat.array.shape:
-        raise DimensionMismatchError("X must match the dimension of Q")
-    arr = _hermitian_stack(arr[None])[0][0]
-    w, v = mat._w, mat._v
-    roots = np.sqrt(w)
-    inner = np.conjugate(v.T) @ arr @ v
-    inner = inner / (roots[:, None] + roots[None, :])
-    return hermitian_part(v @ inner @ np.conjugate(v.T))
 
 
 class SubspaceBasis:

@@ -6,20 +6,18 @@ concentration envelopes with user-supplied constants."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .barycenter import SolverConfig, as_sample_set, frechet_variance, solve_barycenter
-from .exceptions import (
-    DegenerateCovarianceError,
-    DimensionMismatchError,
-    ValidationError,
-    _overflow_is_error,
-)
+from .barycenter import (SolverConfig, _check_count, _is_number, as_sample_set,
+                         frechet_variance, solve_barycenter)
+from .exceptions import DegenerateCovarianceError, DimensionMismatchError, ValidationError, _finite
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
 from .hermitian import (
+    PD_REL_TOL,
     OperatorOnM,
     PsdMatrix,
     SubspaceBasis,
@@ -98,14 +96,13 @@ def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarra
     return _spectral(w, v, f)
 
 
-def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM,
-                    rank_tol: float = 1e-12) -> OperatorOnM:
+def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM) -> OperatorOnM:
     """Sandwich covariance F^{-1} Sigma F^{-1} of the barycenter estimator."""
     if sigma_hat.dim_m != f_hat.dim_m:
         raise DimensionMismatchError("sigma and F live on different subspaces")
     if not np.array_equal(sigma_hat.basis.basis, f_hat.basis.basis):
         raise ValidationError("sigma and F are materialized on different bases")
-    f_inv = _operator_power(f_hat, np.reciprocal, rank_tol,
+    f_inv = _operator_power(f_hat, np.reciprocal, PD_REL_TOL,
                             "F-hat is singular; cannot invert")
     xi = f_inv @ sigma_hat.matrix @ f_inv
     return OperatorOnM(sigma_hat.basis, (xi + xi.T) / 2)
@@ -119,6 +116,7 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     with a component outside M beyond roundoff, relative to ||Q_n|| and
     ||Q_ref||, is projected with a warning.
     """
+    _check_count("n", n)
     qn = as_psd(q_n)
     qr = as_psd(q_ref)
     if qn.dim != qr.dim or qn.dim != basis.dim_ambient:
@@ -152,8 +150,7 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     qm = as_psd(q_star, require_pd=True)
     if basis.dim_ambient != qm.dim or xi.dim_m != basis.dim_m:
         raise DimensionMismatchError("xi/basis dimensions do not match Q*")
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    _check_count("count", count)
     half = _xi_root(xi)
     g = rng.standard_normal((xi.dim_m, count))
     coords = half @ g
@@ -163,28 +160,32 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
 
-def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None = None,
-                       ddof: int = 0):
+def _reference(samples, q_ref, v_ref):
+    """The sample set and Q_ref, of one dimension, with v_ref finite or None."""
+    ss = as_sample_set(samples)
+    qr = as_psd(q_ref)
+    if qr.dim != ss.dim:
+        raise DimensionMismatchError(f"dimensions differ: {qr.dim} vs {ss.dim}")
+    if v_ref is not None and not (_is_number(v_ref) and math.isfinite(v_ref)):
+        raise ValidationError(f"v_ref must be a finite number, got {v_ref!r}")
+    return ss, qr
+
+
+def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None = None):
     """Fréchet-variance CLT ingredients.
 
     Returns (v_n, stat, var_hat): the empirical variance at the solved
-    barycenter, the centered statistic sqrt(n)(v_n - v_ref), and the empirical
-    variance of the squared distances d^2(Q_ref, S_i).  var_hat uses the 1/n
-    population form by default; ddof=1 switches to 1/(n-1).
+    barycenter, the centered statistic sqrt(n)(v_n - v_ref), and the weighted
+    (population-form) variance of the squared distances d^2(Q_ref, S_i).
     """
-    ss = as_sample_set(samples)
-    qr = as_psd(q_ref)
+    ss, qr = _reference(samples, q_ref, v_ref)
     n = len(ss)
-    if ddof not in (0, 1) or n - ddof < 1:
-        raise ValidationError(f"ddof must be 0 or 1 and below n, got {ddof}")
     result = solve_barycenter(ss, config=config)
     v_n = result.variance
     stat = float(np.sqrt(n) * (v_n - v_ref))
     d2 = ss.sq_distances(qr.array)
     mean = float(np.dot(ss.weights, d2))
     var_hat = float(np.dot(ss.weights, (d2 - mean) ** 2))
-    if ddof == 1:
-        var_hat *= n / (n - 1)
     return v_n, stat, var_hat
 
 
@@ -270,8 +271,7 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     The constraint is taken from the basis anchor when present.  v_ref
     defaults to the empirical variance at Q_ref.
     """
-    ss = as_sample_set(samples)
-    qr = as_psd(q_ref)
+    ss, qr = _reference(samples, q_ref, v_ref)
     constraint = basis if basis.anchor is not None else None
     result = solve_barycenter(ss, constraint=constraint, config=config)
     q_n = result.barycenter
@@ -301,56 +301,51 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _positive(value, name):
-    if not 0 < value < np.inf:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+def _positive(**values) -> list:
+    """The values as Python floats, each required to be 0 < x < inf; products
+    of Python floats overflow to inf, which `_finite` turns into an error."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return [float(value) for value in values.values()]
 
 
 def compose_c_q(norm_q_star: float, sigma_t: float, lambda_min_f_prime: float) -> float:
     """Leading constant 4 ||Q*|| sigma_T / lambda_min(F') of the Frobenius envelope."""
-    _positive(norm_q_star, "norm_q_star")
-    _positive(sigma_t, "sigma_t")
-    _positive(lambda_min_f_prime, "lambda_min_f_prime")
-    return 4.0 * norm_q_star * sigma_t / lambda_min_f_prime
+    norm_q_star, sigma_t, lambda_min_f_prime = _positive(
+        norm_q_star=norm_q_star, sigma_t=sigma_t, lambda_min_f_prime=lambda_min_f_prime)
+    return _finite(4.0 * norm_q_star * sigma_t / lambda_min_f_prime, "c_Q")
 
 
 def concentration_envelope_q(c_q: float, d: int, n: int, t: float) -> float:
     """High-probability envelope c_Q (d + t) / sqrt(n) for ||Q'_n - I||_F."""
-    _positive(c_q, "c_q")
-    _positive(d, "d")
-    _positive(n, "n")
-    _positive(t, "t")
-    return c_q * (d + t) / np.sqrt(n)
+    c_q, d, n, t = _positive(c_q=c_q, d=d, n=n, t=t)
+    return _finite(c_q * (d + t) / math.sqrt(n), "the envelope")
 
 
 def concentration_envelope_dbw(c_q: float, norm_q_star: float, d: int, n: int,
                                t: float) -> float:
     """Distance version of the envelope, scaled by ||Q*||^{1/2}."""
-    _positive(norm_q_star, "norm_q_star")
-    with _overflow_is_error("the distance envelope"):
-        return np.sqrt(norm_q_star) * concentration_envelope_q(c_q, d, n, t)
+    (norm_q_star,) = _positive(norm_q_star=norm_q_star)
+    envelope = concentration_envelope_q(c_q, d, n, t)
+    return _finite(math.sqrt(norm_q_star) * envelope, "the distance envelope")
 
 
 def concentration_envelope_v(b: float, nu: float, c_q: float, norm_f_prime: float,
                              d: int, n: int, t: float) -> float:
     """Envelope max(b t^2 / n, nu t / sqrt(n)) + 3 c_Q^2 ||F'|| (d + t)^2 / n
     for the Fréchet-variance deviation."""
-    _positive(b, "b")
-    _positive(nu, "nu")
-    _positive(c_q, "c_q")
-    _positive(norm_f_prime, "norm_f_prime")
-    _positive(d, "d")
-    _positive(n, "n")
-    _positive(t, "t")
-    tail = max(b * t * t / n, nu * t / np.sqrt(n))
-    return tail + 3.0 * c_q * c_q * norm_f_prime * (d + t) * (d + t) / n
+    b, nu, c_q, norm_f_prime, d, n, t = _positive(
+        b=b, nu=nu, c_q=c_q, norm_f_prime=norm_f_prime, d=d, n=n, t=t)
+    tail = max(b * t * t / n, nu * t / math.sqrt(n))
+    return _finite(tail + 3.0 * c_q * c_q * norm_f_prime * (d + t) * (d + t) / n,
+                   "the variance envelope")
 
 
 def subexp_tail(nu: float, b: float, t: float) -> float:
     """Sub-exponential upper tail: Gaussian regime below t = nu^2 / b,
     exponential regime above."""
-    _positive(nu, "nu")
-    _positive(b, "b")
+    nu, b = _positive(nu=nu, b=b)
     if not t >= 0:
         raise ValidationError(f"t must be nonnegative, got {t!r}")
     if t <= nu * nu / b:

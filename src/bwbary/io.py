@@ -17,7 +17,7 @@ import jsonschema
 from jsonschema import Draft202012Validator
 
 from .barycenter import SampleSet, SolverConfig, solve_barycenter
-from .exceptions import DimensionMismatchError, ParseError, ValidationError, _overflow_is_error
+from .exceptions import DimensionMismatchError, ParseError, ValidationError, _finite
 from .geometry import bw_distance_sq
 from .hermitian import COMPLEX, PsdMatrix, REAL, as_psd
 
@@ -202,9 +202,9 @@ def w2_distance_sq(a: LocationScaleMeasure, b: LocationScaleMeasure) -> float:
     ||m1 - m2||^2 + d_BW^2(S1, S2)."""
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatchError("mean dimensions differ")
-    with _overflow_is_error("the squared mean gap"):
-        gap = float(np.sum((a.mean - b.mean) ** 2))
-    return gap + bw_distance_sq(a.covariance, b.covariance)
+    # in Python floats, where an overflow is a silent inf for `_finite` to catch
+    gap = sum((x - y) * (x - y) for x, y in zip(a.mean.tolist(), b.mean.tolist()))
+    return _finite(gap + bw_distance_sq(a.covariance, b.covariance), "the squared W2 distance")
 
 
 def scale_location_barycenter(measures, weights=None,

@@ -5,7 +5,6 @@ simulation figures."""
 from __future__ import annotations
 
 import logging
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .barycenter import SampleSet, SolverConfig, _is_number, solve_barycenter
+from .barycenter import SampleSet, SolverConfig, _check_count, _is_number, solve_barycenter
 from .exceptions import (
     DegenerateCovarianceError,
     ExperimentFailureError,
@@ -62,11 +61,6 @@ def _map_ordered(fn, items):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _check_count(name: str, value, low: int = 1) -> None:
-    if not _is_number(value, numbers.Integral) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _checked_law(d, eig_law, u_mode) -> tuple:
@@ -208,10 +202,8 @@ def _replicate_draw(config: ExperimentConfig, pool: SampleSet, n: int,
     return SampleSet(_draw_samples(config, n, rng))
 
 
-def _population(config: ExperimentConfig, rng=None):
-    if rng is None:
-        rng = derive_rng(config.seed, _DOMAIN_PROXY)
-    stack = _draw_samples(config, config.pop_proxy_size, rng)
+def _population(config: ExperimentConfig):
+    stack = _draw_samples(config, config.pop_proxy_size, derive_rng(config.seed, _DOMAIN_PROXY))
     constraint = _experiment_basis(config) if config.constraint else None
     cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
     pool = SampleSet(stack)
@@ -219,13 +211,13 @@ def _population(config: ExperimentConfig, rng=None):
     return result.barycenter, result.variance, pool
 
 
-def population_proxy(config: ExperimentConfig, rng=None):
+def population_proxy(config: ExperimentConfig):
     """Large-sample stand-in (Q*, V*) for the population barycenter.
 
     Solved to residual 1e-10 from pop_proxy_size fresh draws of the configured
-    law.  An explicit rng overrides the seed-derived proxy stream.
+    law, on the stream derive_rng(seed, 0).
     """
-    return _population(config, rng)[:2]
+    return _population(config)[:2]
 
 
 @dataclass
@@ -424,6 +416,8 @@ def ks_distance(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValidationError("ks_distance requires nonempty samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("ks_distance requires finite samples")
     return float(_scipy_stats.ks_2samp(a, b, method="asymp").statistic)
 
 
@@ -437,8 +431,9 @@ def empirical_density(sample, grid_points: int = 256):
     x = np.asarray(sample, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValidationError("empirical_density requires at least 2 points")
-    if grid_points < 2:
-        raise ValidationError("grid_points must be >= 2")
+    if not np.isfinite(x).all():
+        raise ValidationError("empirical_density requires finite samples")
+    _check_count("grid_points", grid_points, low=2)
     std = float(np.std(x))
     if std == 0.0:
         center = float(x[0])

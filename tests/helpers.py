@@ -1,8 +1,12 @@
-"""Shared random generators and decomposition counting for the test suite."""
+"""Shared random generators, decomposition counting and a reference rescaled
+differential for the test suite."""
 
 import math
 
 import numpy as np
+
+from bwbary import OperatorOnM, sqrt_psd, vectorize
+from bwbary.hermitian import hermitian_part
 
 
 def rand_orthogonal(rng, d):
@@ -58,3 +62,11 @@ def count_decompositions(monkeypatch) -> list:
 def matrix_count(shapes) -> int:
     """The number of matrices in the recorded shapes."""
     return sum(math.prod(shape[:-2]) for shape in shapes)
+
+
+def rescaled_operator(t, basis) -> np.ndarray:
+    """<B_k, dt(B_l)> for the rescaled differential dt(zeta) = Q^{1/2} dT(Q^{1/2}
+    zeta Q^{1/2}) Q^{1/2} of a transport map t from Q, built from t.apply."""
+    r = sqrt_psd(t.source).array
+    cols = [vectorize(basis, hermitian_part(r @ t.apply(r @ b @ r) @ r)) for b in basis.basis]
+    return OperatorOnM(basis, np.stack(cols, axis=1)).matrix

@@ -19,7 +19,6 @@ from bwbary import (
     ValidationError,
     bw_distance_sq,
     eta_n_diagnostic,
-    operator_matrix,
     sigma_perturbation_bound,
     solve_barycenter,
     sqrt_psd,
@@ -33,7 +32,7 @@ from bwbary.hermitian import frobenius_inner
 from bwbary.mclab import ExperimentConfig, _population, _random_spd_stack, \
     derive_rng, ks_distance
 
-from helpers import rand_hermitian, rand_spd
+from helpers import rand_hermitian, rand_spd, rescaled_operator
 
 ACCEPT_SEED = 20260809
 
@@ -111,7 +110,7 @@ def test_criterion_3_sharp_dt_spectrum():
         for _ in range(3):
             q, s = rand_spd(rng, d), rand_spd(rng, d)
             basis = standard_basis(d)
-            mat = -operator_matrix(transport_map(q, s), basis, rescaled=True).matrix
+            mat = -rescaled_operator(transport_map(q, s), basis)
             eig = np.linalg.eigvalsh(mat)
             lam = np.linalg.eigvalsh(sqrt_psd(s).array @ q @ sqrt_psd(s).array)
             lo, hi = 0.5 * np.sqrt(lam[0]), 0.5 * np.sqrt(lam[-1])

@@ -16,7 +16,7 @@ from bwbary import (
 from bwbary.hermitian import frobenius_inner
 
 from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_psd_singular,
-                     rand_spd)
+                     rand_spd, rescaled_operator)
 
 
 class TestDistance:
@@ -145,7 +145,6 @@ class TestTransportMap:
         shapes = count_decompositions(monkeypatch)
         t = transport_map(q, s)
         t.apply(x)
-        t.apply_rescaled(x)
         assert matrix_count(shapes) <= 2
         shapes.clear()
         bw_gradient(q, s)
@@ -202,7 +201,7 @@ class TestTransportDifferential:
             q, s = rand_spd(rng, d), rand_spd(rng, d)
             dt = transport_map(q, s)
             basis = standard_basis(d)
-            mat = -operator_matrix(dt, basis, rescaled=True).matrix
+            mat = -rescaled_operator(dt, basis)
             eig = np.linalg.eigvalsh(mat)
             lam = np.linalg.eigvalsh(sqrt_psd(s).array @ q @ sqrt_psd(s).array)
             assert eig[0] == pytest.approx(0.5 * np.sqrt(lam[0]), rel=1e-8)
@@ -325,7 +324,7 @@ class TestOperatorMatrix:
         q = np.diag([1.5, 0.5, 3.0])
         basis = standard_basis(3)
         dt = transport_map(q, q)
-        mat = -operator_matrix(dt, basis, rescaled=True).matrix
+        mat = -rescaled_operator(dt, basis)
         assert np.linalg.eigvalsh(mat)[0] == pytest.approx(0.25, rel=1e-10)
 
     def test_traceless_dimension(self):

@@ -11,9 +11,7 @@ from bwbary import (
     SubspaceBasis,
     ValidationError,
     devectorize,
-    pinv_sqrt_psd,
     project_subspace,
-    sqrt_differential,
     sqrt_psd,
     standard_basis,
     vectorize,
@@ -51,7 +49,7 @@ class TestGateDecomposition:
             assert np.array_equal(m._func(_clipped_sqrt), root)
             assert np.array_equal(sqrt_psd(m).array, hermitian_part(root))
             pinv = _reference_root(m.array, lambda w: _pinv_sqrt(np.clip(w, 0.0, None)))
-            assert np.array_equal(pinv_sqrt_psd(m), hermitian_part(pinv))
+            assert np.array_equal(hermitian_part(m._func(_pinv_sqrt)), hermitian_part(pinv))
             assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.array)[0][::-1])
             if kind != "singular":
                 assert np.array_equal(m._func(_inv_sqrt), _reference_root(m.array, _inv_sqrt))
@@ -163,53 +161,27 @@ class TestSqrt:
             sqrt_psd(np.diag([1.0, -1.0]))
 
 
+def _pinv_root(a):
+    """(A^{1/2})^+ through the transport maps' kernel, on A's own eigh."""
+    return _spectral(*np.linalg.eigh(a), _pinv_sqrt)
+
+
 class TestPinvSqrt:
     def test_singular_diagonal(self):
-        got = pinv_sqrt_psd(np.diag([4.0, 0.0]), rank_tol=1e-12)
-        assert np.allclose(got, np.diag([0.5, 0.0]))
+        assert np.allclose(_pinv_root(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
 
     def test_identity(self):
-        assert np.allclose(pinv_sqrt_psd(np.eye(3)), np.eye(3))
+        assert np.allclose(_pinv_root(np.eye(3)), np.eye(3))
 
     def test_full_rank_diagonal(self):
-        assert np.allclose(pinv_sqrt_psd(np.diag([4.0, 9.0])), np.diag([0.5, 1 / 3]))
+        assert np.allclose(_pinv_root(np.diag([4.0, 9.0])), np.diag([0.5, 1 / 3]))
 
     def test_pseudo_inverse_property(self):
         rng = np.random.default_rng(5)
         a = rand_spd(rng, 4)
-        p = pinv_sqrt_psd(a)
+        p = _pinv_root(a)
         root = sqrt_psd(a).array
         assert np.allclose(p @ root, np.eye(4), atol=1e-10)
-
-
-class TestSqrtDifferential:
-    def test_identity_base(self):
-        x = np.array([[1.0, 2.0], [2.0, -1.0]])
-        assert np.allclose(sqrt_differential(np.eye(2), x), x / 2)
-
-    def test_diagonal_divisors(self):
-        got = sqrt_differential(np.diag([4.0, 9.0]), np.eye(2))
-        assert np.allclose(got, np.diag([0.25, 1 / 6]))
-        got = sqrt_differential(np.diag([1.0, 4.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(got, np.array([[0.0, 1 / 3], [1 / 3, 0.0]]))
-
-    def test_is_true_derivative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            d = rng.integers(2, 6)
-            q = rand_spd(rng, d)
-            x = rand_hermitian(rng, d)
-            deriv = sqrt_differential(q, x)
-            errs = []
-            for eps in (1e-3, 1e-4):
-                fd = sqrt_psd(q + eps * x).array - sqrt_psd(q).array
-                errs.append(np.linalg.norm(fd - eps * deriv))
-            order = np.log10(errs[0] / errs[1])
-            assert order >= 1.9
-
-    def test_rejects_singular_base(self):
-        with pytest.raises(SingularMatrixError):
-            sqrt_differential(np.diag([1.0, 0.0]), np.eye(2))
 
 
 class TestStandardBasis:

@@ -6,6 +6,8 @@ import pytest
 
 from bwbary import (
     DegenerateCovarianceError,
+    DimensionMismatchError,
+    NumericalError,
     OperatorOnM,
     SampleSet,
     SubspaceBasis,
@@ -37,7 +39,7 @@ from bwbary.inference import XI_RANK_TOL, _f_prime_spectrum
 from bwbary.mclab import _random_spd_stack
 
 from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_orthogonal,
-                     rand_spd, rand_unitary)
+                     rand_spd, rand_unitary, rescaled_operator)
 
 SCALAR_BASIS = SubspaceBasis(np.ones((1, 1, 1)))
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
@@ -178,8 +180,7 @@ class TestFHat:
             image = root @ image @ root
             for k in range(m):
                 slow[k, l] = frobenius_inner(white.basis[k], image)
-        oracle = -np.mean([operator_matrix(dt, white, rescaled=True).matrix for dt in diffs],
-                          axis=0)
+        oracle = -np.mean([rescaled_operator(dt, white) for dt in diffs], axis=0)
         assert np.allclose(oracle, slow, atol=1e-10)
         lam = _f_prime_spectrum(SampleSet(mats), q, basis)
         assert np.allclose(lam, np.linalg.eigvalsh(slow), atol=1e-10)
@@ -194,8 +195,8 @@ class TestFHat:
         q = rand_spd(rng, 3, complex_mode=complex_mode)
         mats = [rand_spd(rng, 3, complex_mode=complex_mode) for _ in range(4)]
         white = _orthonormal_congruence(basis, q)
-        oracle = -np.mean([operator_matrix(transport_map(q, s), white,
-                                           rescaled=True).matrix for s in mats], axis=0)
+        oracle = -np.mean([rescaled_operator(transport_map(q, s), white) for s in mats],
+                          axis=0)
         lam = _f_prime_spectrum(SampleSet(mats), q, basis)
         assert np.allclose(lam, np.linalg.eigvalsh(oracle), rtol=1e-12, atol=0)
 
@@ -433,6 +434,13 @@ class TestStudentized:
         with pytest.raises(DegenerateCovarianceError):
             studentized_statistic(np.eye(2), 2 * np.eye(2), xi, basis, 4)
 
+    @pytest.mark.parametrize("n", [0, -4, 2.5, True])
+    def test_bad_sample_size_rejected(self, n):
+        basis = standard_basis(2)
+        xi = OperatorOnM(basis, np.eye(3))
+        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+            studentized_statistic(np.eye(2), 2 * np.eye(2), xi, basis, n)
+
     def test_off_subspace_projected_with_warning(self, caplog):
         import logging
 
@@ -461,6 +469,13 @@ class TestStudentized:
 
 
 class TestSampleLimitDbw:
+    @pytest.mark.parametrize("count", [0, -1, 2.5, None])
+    def test_bad_count_rejected(self, count):
+        basis = standard_basis(2)
+        with pytest.raises(ValidationError, match="count must be an integer >= 1"):
+            sample_limit_dbw(np.eye(2), OperatorOnM(basis, np.eye(3)), basis, count,
+                             np.random.default_rng(0))
+
     @pytest.mark.parametrize("scale", SCALES)
     def test_psd_check_is_scale_free(self, scale):
         basis = standard_basis(2)
@@ -519,8 +534,27 @@ class TestVarianceCltStats:
         ss = scalar_set([4.0, 9.0])
         v_n, stat, var_hat = variance_clt_stats(ss, np.array([[1.0]]), 0.0)
         assert var_hat == pytest.approx(2.25)
-        _, _, unbiased = variance_clt_stats(ss, np.array([[1.0]]), 0.0, ddof=1)
-        assert unbiased == pytest.approx(4.5)
+
+    def test_reference_dimension_checked_before_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking Q_ref")
+
+        monkeypatch.setattr("bwbary.inference.solve_barycenter", no_solve)
+        rng = np.random.default_rng(16)
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(4)])
+        with pytest.raises(DimensionMismatchError):
+            variance_clt_stats(ss, np.eye(2), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            clt_report(ss, np.eye(2), standard_basis(3))
+
+    @pytest.mark.parametrize("v_ref", [float("nan"), float("inf"), "1.0"])
+    def test_non_finite_reference_variance_rejected(self, v_ref):
+        rng = np.random.default_rng(17)
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(4)])
+        with pytest.raises(ValidationError, match="v_ref"):
+            variance_clt_stats(ss, np.eye(3), v_ref)
+        with pytest.raises(ValidationError, match="v_ref"):
+            clt_report(ss, np.eye(3), standard_basis(3), v_ref=v_ref)
 
     def test_stat_matches_recommputation(self):
         rng = np.random.default_rng(14)
@@ -764,6 +798,22 @@ class TestEnvelopes:
         left = subexp_tail(nu, b, seam - 1e-12)
         right = subexp_tail(nu, b, seam + 1e-12)
         assert left == pytest.approx(right, rel=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda: concentration_envelope_q(1e308, 2, 10, 1e308),
+        lambda: concentration_envelope_q(1e308, 2, 0.5, 1.0),
+        lambda: concentration_envelope_dbw(1.0, 1e308, 2, 10, 1e300),
+        lambda: concentration_envelope_dbw(np.float64(1.0), np.float64(1e308), 2, 10,
+                                           np.float64(1e300)),
+        lambda: compose_c_q(1e308, 1e308, 1.0),
+        lambda: concentration_envelope_v(1, 1, 1e200, 1, 2, 10, 1),
+        lambda: concentration_envelope_v(1e300, 1, 1, 1, 2, 10, 1e10),
+    ], ids=["q", "q-small-n", "dbw", "dbw-numpy", "c_q", "v", "v-tail"])
+    def test_overflow_is_numerical_error(self, call):
+        # finite inputs whose result overflows; a numpy warning would be an
+        # error under the suite's filters
+        with pytest.raises(NumericalError, match="overflows"):
+            call()
 
     def test_positivity_validation(self):
         with pytest.raises(ValidationError):

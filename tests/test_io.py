@@ -13,6 +13,7 @@ from jsonschema.exceptions import best_match
 from bwbary import (
     LocationScaleMeasure,
     NotHermitianError,
+    NumericalError,
     ParseError,
     PsdMatrix,
     SampleSet,
@@ -243,6 +244,17 @@ class TestScaleLocation:
         a = LocationScaleMeasure(np.zeros(3), s1)
         b = LocationScaleMeasure(np.zeros(3), s2)
         assert w2_distance_sq(a, b) == bw_distance_sq(s1, s2)
+
+    @pytest.mark.parametrize("mean_a, mean_b, cov_b", [
+        ([0.0], [1.3e154], 1e308), ([0.0, 1e200], [-1e200, 0.0], 1.0),
+        ([1e308], [-1e308], 1.0)], ids=["gap-plus-distance", "square", "difference"])
+    def test_w2_overflow_is_numerical_error(self, mean_a, mean_b, cov_b):
+        # finite inputs: the mean gap, its square, or its sum with d^2 overflows
+        d = len(mean_a)
+        a = LocationScaleMeasure(mean_a, np.eye(d))
+        b = LocationScaleMeasure(mean_b, cov_b * np.eye(d))
+        with pytest.raises(NumericalError, match="overflows"):
+            w2_distance_sq(a, b)
 
     def test_barycenter_identical_measures(self):
         rng = np.random.default_rng(5)

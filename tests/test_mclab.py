@@ -17,7 +17,7 @@ from bwbary import (
     run_clt_experiment,
     run_concentration_experiment,
 )
-from bwbary.mclab import ExperimentConfig, _population, _replicate_draw
+from bwbary.mclab import _DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -121,10 +121,9 @@ class TestPopulationProxy:
     def test_commuting_hook_closed_form(self):
         # with U = I the barycenter is diagonal with sqrt(q_j) = mean sqrt(lam_j)
         cfg = ExperimentConfig(d=3, eig_law=(1.0, 9.0), u_mode="identity",
-                               pop_proxy_size=40)
-        rng = derive_rng(99, 0)
-        q_star, v_star = population_proxy(cfg, rng=rng)
-        lam = derive_rng(99, 0).uniform(1.0, 9.0, size=(40, 3))
+                               pop_proxy_size=40, seed=99)
+        q_star, v_star = population_proxy(cfg)
+        lam = derive_rng(cfg.seed, _DOMAIN_PROXY).uniform(1.0, 9.0, size=(40, 3))
         expected = np.mean(np.sqrt(lam), axis=0) ** 2
         assert np.allclose(np.diagonal(q_star.array), expected, atol=1e-9)
         assert np.allclose(q_star.array, np.diag(np.diagonal(q_star.array)), atol=1e-9)
@@ -292,6 +291,12 @@ class TestKsDistance:
         with pytest.raises(ValidationError):
             ks_distance([], [1.0])
 
+    @pytest.mark.parametrize("a, b", [([0.0, np.nan], [1.0]), ([0.0], [1.0, np.inf]),
+                                      ([-np.inf, 0.0], [1.0])])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="finite"):
+            ks_distance(a, b)
+
 
 class TestEmpiricalDensity:
     def test_two_point_symmetry_and_mass(self):
@@ -320,3 +325,13 @@ class TestEmpiricalDensity:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValidationError):
             empirical_density(np.array([1.0]), 64)
+
+    @pytest.mark.parametrize("sample", [[0.0, np.nan], [np.inf, 0.0, 1.0]])
+    def test_non_finite_rejected(self, sample):
+        with pytest.raises(ValidationError, match="finite"):
+            empirical_density(sample, 64)
+
+    @pytest.mark.parametrize("grid_points", [2.5, 1, True])
+    def test_bad_grid_points_rejected(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points must be an integer >= 2"):
+            empirical_density([0.0, 1.0], grid_points)
