@@ -76,7 +76,6 @@ from .io import (
 )
 from .mclab import (
     ExperimentConfig,
-    SimulationReport,
     derive_rng,
     empirical_density,
     ks_distance,

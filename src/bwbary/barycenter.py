@@ -16,6 +16,7 @@ from .exceptions import (
     DimensionMismatchError,
     PositivityLossError,
     ValidationError,
+    _finite,
 )
 from .geometry import TransportPrep, _f_hat_from_prep, _transport_stack
 from .hermitian import (
@@ -27,6 +28,7 @@ from .hermitian import (
     _is_pd,
     _psd_stack,
     _spectral,
+    _trace,
     as_psd,
     devectorize,
     hermitian_part,
@@ -55,13 +57,7 @@ class SampleSet:
 
     def __init__(self, matrices, weights=None, mode=None):
         if not isinstance(matrices, np.ndarray):
-            mats = [m.array if isinstance(m, PsdMatrix) else _as_array(m) for m in matrices]
-            if not mats:
-                raise ValidationError("sample set must contain at least one matrix")
-            shapes = {m.shape for m in mats}
-            if len(shapes) > 1:
-                raise DimensionMismatchError(f"mixed matrix shapes: {sorted(shapes)}")
-            matrices = np.stack(mats)
+            matrices = [m.array if isinstance(m, PsdMatrix) else m for m in matrices]
         stack, mode, eigs, vecs = _psd_stack(matrices, mode)
         n = stack.shape[0]
         if weights is None:
@@ -127,11 +123,11 @@ class SampleSet:
 
     @property
     def mean_trace(self) -> float:
-        return float(np.dot(self.weights, np.real(np.trace(self.array, axis1=1, axis2=2))))
+        return float(np.dot(self.weights, _trace(self.array)))
 
     def sq_distances(self, q: np.ndarray) -> np.ndarray:
         """d^2(Q, S_i) = tr Q + tr S_i - 2 sum_a sqrt(lam_ia) >= 0 from the prep at Q."""
-        d2 = np.real(np.trace(q)) + np.real(np.trace(self.array, axis1=1, axis2=2))
+        d2 = _trace(q) + _trace(self.array)
         return np.clip(d2 - 2.0 * np.sqrt(self.transport_prep(q).lam).sum(axis=1), 0.0, None)
 
 
@@ -149,6 +145,17 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _as_float(name: str, value) -> float:
+    """float(value) for a real number; one that is not, or an integer beyond
+    the float range (where float() raises OverflowError), is a ValidationError."""
+    if not _is_number(value):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is beyond the float range") from None
+
+
 @dataclass
 class SolverConfig:
     """Iteration budget and residual tolerance for the barycenter solver."""
@@ -157,8 +164,7 @@ class SolverConfig:
     tol_residual: float = 1e-10
 
     def __post_init__(self):
-        if not _is_number(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter)
         if not _is_number(self.tol_residual) or not 0 < self.tol_residual < np.inf:
             raise ValidationError(
                 f"tol_residual must be a finite number > 0, got {self.tol_residual!r}")
@@ -176,31 +182,33 @@ class BarycenterResult:
     variance_history: list = field(default_factory=list)
 
 
+def _at(samples, q, basis: SubspaceBasis | None = None, require_pd: bool = True):
+    """The one gate of a (samples, Q) call: the sample set and Q, strictly
+    positive unless require_pd is False, of one dimension with the basis."""
+    ss = as_sample_set(samples)
+    qm = as_psd(q, require_pd=require_pd)
+    if qm.dim != ss.dim:
+        raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
+    if basis is not None and basis.dim_ambient != ss.dim:
+        raise DimensionMismatchError("basis ambient dimension does not match samples")
+    return ss, qm
+
+
 def frechet_variance(q, samples) -> float:
     """Weighted mean squared Bures-Wasserstein distance to the samples, from
     the prep at Q by the solver's formula: bitwise the result's variance at a
     returned barycenter, and no decomposition after an estimator at Q."""
-    ss = as_sample_set(samples)
-    qm = as_psd(q)
-    if qm.dim != ss.dim:
-        raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
+    ss, qm = _at(samples, q, require_pd=False)
     lam = ss.transport_prep(qm.array).lam
     return max(_variance_at(qm.array, lam, ss.weights, ss.mean_trace), 0.0)
 
 
 def residual(q, samples, basis: SubspaceBasis | None = None) -> float:
     """First-order residual ||Pi_M(sum_i w_i T_Q^{S_i} - I)||_F."""
-    ss = as_sample_set(samples)
-    qm = as_psd(q, require_pd=True)
-    if qm.dim != ss.dim:
-        raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
+    ss, qm = _at(samples, q, basis)
     t = ss.transport_prep(qm.array).t
     gap = np.einsum("n,nij->ij", ss.weights, t) - np.eye(ss.dim, dtype=t.dtype)
-    if basis is None:
-        return float(np.linalg.norm(gap))
-    if basis.dim_ambient != ss.dim:
-        raise DimensionMismatchError("basis ambient dimension does not match samples")
-    return float(np.linalg.norm(_coords(basis, gap)))
+    return float(np.linalg.norm(gap if basis is None else _coords(basis, gap)))
 
 
 def _append_variance(variances, variance, mean_trace, rule, it):
@@ -213,7 +221,8 @@ def _append_variance(variances, variance, mean_trace, rule, it):
 def _variance_at(q, lam, weights, mean_trace: float) -> float:
     """Fréchet variance at Q from the prep spectrum lam_i = eig(S_i^{1/2} Q S_i^{1/2})."""
     root_sums = np.sqrt(lam).sum(axis=1)
-    return float(np.real(np.trace(q))) + mean_trace - 2.0 * float(np.dot(weights, root_sums))
+    variance = float(_trace(q)) + mean_trace - 2.0 * float(np.dot(weights, root_sums))
+    return _finite(variance, "the Fréchet variance")
 
 
 def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
@@ -240,7 +249,7 @@ def _ridge_to_pd(anchor, basis, ss):
     raise PositivityLossError("could not find a strictly positive point in A")
 
 
-def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
+def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> BarycenterResult:
     """One loop for both step rules, evaluated at each iterate's transport prep.
 
     Without a basis it runs the fixed-point map Q <- T Q T from the weighted
@@ -273,7 +282,8 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig):
         history.append(res)
         _append_variance(variances, variance, mean_trace, rule, it)
         if res <= cfg.tol_residual:
-            return q, it, res, max(variance, 0.0), history, variances
+            return BarycenterResult(PsdMatrix(q, mode=ss.mode, require_pd=True), it, res,
+                                    max(variance, 0.0), history, variances)
         if it == cfg.max_iter:
             break
         hess = None if basis is None else _f_hat_from_prep(prep, weights, basis.basis)
@@ -331,12 +341,4 @@ def solve_barycenter(
         )
     if constraint is not None and constraint.dim_ambient != ss.dim:
         raise DimensionMismatchError("constraint basis does not match sample dimension")
-    q, iters, res, variance, history, variances = _solve(ss, constraint, cfg)
-    return BarycenterResult(
-        barycenter=PsdMatrix(q, mode=ss.mode, require_pd=True),
-        iterations=iters,
-        residual=res,
-        variance=variance,
-        residual_history=history,
-        variance_history=variances,
-    )
+    return _solve(ss, constraint, cfg)

@@ -140,7 +140,7 @@ def _cmd_simulate(args) -> None:
     report = runner(config)
     bwio.save_report(report, args.out)
     out = {"out": str(args.out), "kind": kind,
-           "failures": [[block["n"], block["failures"]] for block in report.per_n]}
+           "failures": [[block["n"], block["failures"]] for block in report["per_n"]]}
     if args.csv:
         written = bwio.write_report_csv(report, args.csv)
         out["csv_files"] = len(written)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NumericalError
+from .exceptions import DimensionMismatchError, NumericalError, _finite
 from .hermitian import (
     RANK_REL_TOL,
     OperatorOnM,
@@ -19,6 +19,7 @@ from .hermitian import (
     _clipped_sqrt,
     _pinv_sqrt,
     _spectral,
+    _trace,
     as_psd,
     hermitian_part,
     vectorize,
@@ -44,20 +45,19 @@ def bw_distance_sq(q, s) -> float:
 
     Evaluated through the eigendecomposition of Q^{1/2} S Q^{1/2} with the two
     arguments taken in a canonical order, so the result is exactly symmetric
-    and deterministic.  Small negative roundoff (within 1e-10) is clamped to 0.
+    and deterministic.  Negative roundoff within 1e-10 (tr Q + tr S) is
+    clamped to 0; a trace sum beyond the float range is a NumericalError.
     """
     first, second = sorted(_pair(q, s), key=lambda m: m.array.tobytes())
     a, b = first.array, second.array
     if a.tobytes() == b.tobytes():
         return 0.0
+    traces = _finite(float(_trace(a)) + float(_trace(b)), "tr Q + tr S")
     root = first._func(_clipped_sqrt)
     inner = np.linalg.eigvalsh(root @ b @ root)
-    value = float(np.real(np.trace(a) + np.trace(b))) - 2.0 * float(
-        np.sum(np.sqrt(np.clip(inner, 0.0, None)))
-    )
+    value = traces - 2.0 * float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
     if value < 0.0:
-        scale = max(1.0, float(np.real(np.trace(a) + np.trace(b))))
-        if value < -1e-10 * scale:
+        if value < -1e-10 * traces:
             raise NumericalError(f"squared distance came out negative: {value:.3e}")
         logger.debug("clamping negative squared distance %.3e to 0", value)
         value = 0.0

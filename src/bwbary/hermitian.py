@@ -13,6 +13,7 @@ from .exceptions import (
     DimensionMismatchError,
     NotHermitianError,
     NotPsdError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
 )
@@ -42,6 +43,16 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix in a stack (a view if real)."""
     t = np.swapaxes(a, -1, -2)
     return np.conjugate(t) if np.iscomplexobj(t) else t
+
+
+def _trace(a) -> np.ndarray:
+    """Re tr of a matrix or of every matrix in a stack.  The trace of a finite
+    matrix can pass the float range; that is a NumericalError, not a warning."""
+    with np.errstate(over="ignore"):
+        tr = np.real(np.trace(a, axis1=-2, axis2=-1))
+    if not np.isfinite(tr).all():
+        raise NumericalError("a matrix trace overflows the float range")
+    return tr
 
 
 def _spectral(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
@@ -180,7 +191,7 @@ class PsdMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.array)))
+        return float(_trace(self.array))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues sorted descending."""

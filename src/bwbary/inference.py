@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barycenter import (SolverConfig, _check_count, _is_number, as_sample_set,
+from .barycenter import (SolverConfig, _as_float, _at, _check_count,
                          frechet_variance, solve_barycenter)
 from .exceptions import DegenerateCovarianceError, DimensionMismatchError, ValidationError, _finite
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
@@ -53,24 +53,13 @@ class CltReport:
     variance_stat: float
 
 
-def _checked(samples, q, basis: SubspaceBasis):
-    """The sample set and the strictly positive base point, of one dimension."""
-    ss = as_sample_set(samples)
-    qm = as_psd(q, require_pd=True)
-    if qm.dim != ss.dim:
-        raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
-    if basis.dim_ambient != qm.dim:
-        raise DimensionMismatchError("basis ambient dimension does not match")
-    return ss, qm
-
-
 def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     """Covariance of transport maps around I, restricted to M.
 
     Materializes sum_i w_i (T_i - I) (x) (T_i - I) in basis coordinates, with
     T_i the optimal map from Q to S_i.  PSD by construction.
     """
-    ss, qm = _checked(samples, q, basis)
+    ss, qm = _at(samples, q, basis)
     t = ss.transport_prep(qm.array).t
     coords = _coords(basis, t - np.eye(ss.dim, dtype=t.dtype))
     mat = np.einsum("n,nk,nl->kl", ss.weights, coords, coords)
@@ -83,7 +72,7 @@ def estimate_f_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     Positive definite whenever some sample is strictly positive.  The rescaled
     F' of `eta_n_diagnostic` has its generalized spectrum against a Gram matrix.
     """
-    ss, qm = _checked(samples, q, basis)
+    ss, qm = _at(samples, q, basis)
     prep = ss.transport_prep(qm.array)
     return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
 
@@ -117,6 +106,7 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     ||Q_ref||, is projected with a warning.
     """
     _check_count("n", n)
+    root_n = np.sqrt(_as_float("n", n))
     qn = as_psd(q_n)
     qr = as_psd(q_ref)
     if qn.dim != qr.dim or qn.dim != basis.dim_ambient:
@@ -130,7 +120,7 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
         )
     inv_root = _operator_power(xi_hat, _inv_sqrt, XI_RANK_TOL,
                                "Xi-hat has a null direction; studentization is undefined")
-    return np.sqrt(float(n)) * (inv_root @ coords)
+    return root_n * (inv_root @ coords)
 
 
 def _xi_root(xi: OperatorOnM) -> np.ndarray:
@@ -160,13 +150,10 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
 
-def _reference(samples, q_ref, v_ref):
-    """The sample set and Q_ref, of one dimension, with v_ref finite or None."""
-    ss = as_sample_set(samples)
-    qr = as_psd(q_ref)
-    if qr.dim != ss.dim:
-        raise DimensionMismatchError(f"dimensions differ: {qr.dim} vs {ss.dim}")
-    if v_ref is not None and not (_is_number(v_ref) and math.isfinite(v_ref)):
+def _reference(samples, q_ref, v_ref, basis: SubspaceBasis | None = None):
+    """The sample set and Q_ref from the gate, with v_ref finite or None."""
+    ss, qr = _at(samples, q_ref, basis, require_pd=False)
+    if v_ref is not None and not math.isfinite(_as_float("v_ref", v_ref)):
         raise ValidationError(f"v_ref must be a finite number, got {v_ref!r}")
     return ss, qr
 
@@ -211,7 +198,7 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     bound = eta / (1 - 3 eta / 4) when eta < 4/3, else None.  The residual
     and F' read the prep at Q*, which a later `frechet_variance` at Q* reuses.
     """
-    ss, qm = _checked(samples, q_star, basis)
+    ss, qm = _at(samples, q_star, basis)
     t = ss.transport_prep(qm.array).t
     mean_t = np.einsum("n,nij->ij", ss.weights, t)
     projected = project_subspace(basis, mean_t - np.eye(ss.dim, dtype=t.dtype))
@@ -236,11 +223,8 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     beta = cond(Q*) (mean ||S_i|| / ||Q*||)^{1/2} ||Q'_n - I||_F.
     Requires ||Q'_n - I|| <= 1/2 in operator norm.
     """
-    ss = as_sample_set(samples)
-    qs = as_psd(q_star, require_pd=True)
-    qn = as_psd(q_n, require_pd=True)
-    if qs.dim != ss.dim or qn.dim != ss.dim:
-        raise DimensionMismatchError("dimension mismatch")
+    ss, qs = _at(samples, q_star)
+    qn = _at(ss, q_n)[1]
     inv_root = qs._func(_inv_sqrt)
     q_prime = hermitian_part(inv_root @ qn.array @ inv_root)
     gap = q_prime - np.eye(ss.dim, dtype=q_prime.dtype)
@@ -271,7 +255,7 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     The constraint is taken from the basis anchor when present.  v_ref
     defaults to the empirical variance at Q_ref.
     """
-    ss, qr = _reference(samples, q_ref, v_ref)
+    ss, qr = _reference(samples, q_ref, v_ref, basis)
     constraint = basis if basis.anchor is not None else None
     result = solve_barycenter(ss, constraint=constraint, config=config)
     q_n = result.barycenter
@@ -305,7 +289,7 @@ def _positive(**values) -> list:
     """The values as Python floats, each required to be 0 < x < inf; products
     of Python floats overflow to inf, which `_finite` turns into an error."""
     for name, value in values.items():
-        if not 0 < value < np.inf:
+        if not 0 < _as_float(name, value) < math.inf:
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return [float(value) for value in values.values()]
 
@@ -346,6 +330,7 @@ def subexp_tail(nu: float, b: float, t: float) -> float:
     """Sub-exponential upper tail: Gaussian regime below t = nu^2 / b,
     exponential regime above."""
     nu, b = _positive(nu=nu, b=b)
+    t = _as_float("t", t)
     if not t >= 0:
         raise ValidationError(f"t must be nonnegative, got {t!r}")
     if t <= nu * nu / b:

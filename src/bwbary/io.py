@@ -212,8 +212,6 @@ def scale_location_barycenter(measures, weights=None,
     """Barycenter of scale-location measures: Euclidean mean of the means,
     unconstrained barycenter of the covariances."""
     measures = list(measures)
-    if not measures:
-        raise ValidationError("need at least one measure")
     covs = SampleSet([m.covariance.array for m in measures], weights=weights)
     mean = np.einsum("n,nd->d", covs.weights, np.stack([m.mean for m in measures]))
     result = solve_barycenter(covs, config=config)
@@ -256,17 +254,16 @@ def _reject_constant(name):
     raise ValidationError(f"report holds the non-finite number {name}")
 
 
-def save_report(report, path) -> None:
-    """Serialize a SimulationReport (or its dict form) as schema-valid JSON.
+def save_report(report: dict, path) -> None:
+    """Serialize a report document as schema-valid JSON.
 
     The byte stream is a pure function of the report contents, so identical
     runs produce identical files.  A non-finite number, which JSON cannot
     hold, is a ValidationError and no file is written.
     """
-    data = report.to_dict() if hasattr(report, "to_dict") else report
-    validate_report(data)
+    validate_report(report)
     try:
-        text = json.dumps(data, separators=(",", ":"), sort_keys=False, allow_nan=False)
+        text = json.dumps(report, separators=(",", ":"), sort_keys=False, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"report holds a non-finite number: {exc}") from None
     Path(path).write_text(text + "\n", encoding="utf-8")
@@ -282,17 +279,15 @@ def load_report(path) -> dict:
     return data
 
 
-def write_report_csv(report, directory) -> list:
-    """One CSV per (statistic, n) with columns replicate,value."""
-    data = report.to_dict() if hasattr(report, "to_dict") else report
+def write_report_csv(report: dict, directory) -> list:
+    """One CSV per (statistic, n) with columns replicate,value, for each
+    statistic an n block summarizes."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    stats = ("fnorm", "dbw", "variance") if data["kind"] == "clt" else (
-        "fnorm_rel", "dbw_err")
-    for block in data["per_n"]:
+    for block in report["per_n"]:
         n = block["n"]
-        for stat in stats:
+        for stat in block["summaries"]:
             out = directory / f"{stat}_n{n}.csv"
             with out.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

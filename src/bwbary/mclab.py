@@ -5,14 +5,15 @@ simulation figures."""
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .barycenter import SampleSet, SolverConfig, _check_count, _is_number, solve_barycenter
+from .barycenter import SampleSet, SolverConfig, _as_float, _check_count, solve_barycenter
 from .exceptions import (
     DegenerateCovarianceError,
     ExperimentFailureError,
@@ -20,8 +21,8 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import bw_distance
-from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral, hermitian_part,
-                        standard_basis)
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _diag_embed, _inv_sqrt, _spectral,
+                        hermitian_part, standard_basis)
 from .inference import _xi_root, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
 
@@ -68,14 +69,14 @@ def _checked_law(d, eig_law, u_mode) -> tuple:
     on eig_law = (a, b) with 0 < a <= b < inf, and frame u_mode; returns (a, b)."""
     _check_count("d", d)
     try:
-        a, b = eig_law
-    except (TypeError, ValueError):
-        a = b = None
-    if not (_is_number(a) and _is_number(b) and 0 < a <= b < np.inf):
+        a, b = (_as_float("eig_law", x) for x in eig_law)
+    except (TypeError, ValueError, ValidationError):
+        a = b = math.nan
+    if not 0 < a <= b < math.inf:
         raise ValidationError(f"eig_law must be numbers 0 < a <= b < inf, got {eig_law!r}")
     if u_mode not in ("haar", "identity"):
         raise ValidationError(f"unknown u_mode {u_mode!r}")
-    return float(a), float(b)
+    return a, b
 
 
 @dataclass
@@ -127,6 +128,7 @@ class ExperimentConfig:
         if self.sampling not in ("fresh", "pool"):
             raise ValidationError(f"unknown sampling mode {self.sampling!r}")
         self.solver_config()  # the solver's own checks of solver_tol
+        _experiment_basis(self)  # a traceless slice needs d >= 2: fail before any draw
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -161,10 +163,7 @@ def _random_spd_stack(count: int, d: int, eig_law, rng: np.random.Generator,
     a, b = eig_law
     lam = rng.uniform(a, b, size=(count, d))
     if u_mode == "identity":
-        out = np.zeros((count, d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = lam
-        return out
+        return _diag_embed(lam, d, np.float64)
     u = _haar_stack(count, d, rng)
     return hermitian_part(_spectral(lam, u, lambda w: w))
 
@@ -220,34 +219,13 @@ def population_proxy(config: ExperimentConfig):
     return _population(config)[:2]
 
 
-@dataclass
-class SimulationReport:
-    """Replicate-level statistics plus per-n summaries of one experiment."""
-
-    kind: str
-    config: ExperimentConfig
-    q_star: np.ndarray
-    v_star: float
-    per_n: list = field(default_factory=list)
-    limit_samples: dict | None = None
-    rates: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema": "report_schema_v1",
-            "kind": self.kind,
-            "config": self.config.to_dict(),
-            "population": {
-                "q_star": self.q_star.tolist(),
-                "v_star": self.v_star,
-            },
-            "per_n": self.per_n,
-        }
-        if self.limit_samples is not None:
-            out["limit_samples"] = {k: list(v) for k, v in self.limit_samples.items()}
-        if self.rates is not None:
-            out["rates"] = self.rates
-        return out
+def _report(kind: str, config: ExperimentConfig, q_star: PsdMatrix, v_star: float,
+            per_n: list, **tail) -> dict:
+    """The report_schema_v1 document of one experiment; tail is its
+    limit_samples (clt) or rates (concentration)."""
+    return {"schema": "report_schema_v1", "kind": kind, "config": config.to_dict(),
+            "population": {"q_star": q_star.array.tolist(), "v_star": v_star},
+            "per_n": per_n, **tail}
 
 
 def _summarize(values: np.ndarray, limit: np.ndarray | None, config: ExperimentConfig):
@@ -318,7 +296,7 @@ def _replicated(config: ExperimentConfig, pool: SampleSet, basis: SubspaceBasis,
     return per_n
 
 
-def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
+def run_clt_experiment(config: ExperimentConfig) -> dict:
     """Replicated draw-and-solve study of the barycenter CLT.
 
     For every n in the grid and every replicate, draws n samples, solves the
@@ -362,17 +340,12 @@ def run_clt_experiment(config: ExperimentConfig) -> SimulationReport:
                                  limit_samples.get(stat), config)
                 for stat in ("fnorm", "dbw", "variance")}
 
-    return SimulationReport(
-        kind="clt",
-        config=config,
-        q_star=q_star.array,
-        v_star=v_star,
-        per_n=_replicated(config, pool, basis, stats, summarize),
-        limit_samples={k: v.tolist() for k, v in limit_samples.items()},
-    )
+    per_n = _replicated(config, pool, basis, stats, summarize)
+    return _report("clt", config, q_star, v_star, per_n,
+                   limit_samples={k: v.tolist() for k, v in limit_samples.items()})
 
 
-def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
+def run_concentration_experiment(config: ExperimentConfig) -> dict:
     """Error-decay study: per replicate records ||Q'_n - I||_F and the
     distance to Q*, then fits the slope of log median error against log n."""
     q_star, v_star, pool = _population(config)
@@ -400,14 +373,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> SimulationReport:
                 logger.warning("median %s hit zero; no decay rate fitted", stat)
                 continue
             rates[stat] = float(np.polyfit(logs, np.log(meds), 1)[0])
-    return SimulationReport(
-        kind="concentration",
-        config=config,
-        q_star=q_star.array,
-        v_star=v_star,
-        per_n=per_n,
-        rates=rates,
-    )
+    return _report("concentration", config, q_star, v_star, per_n, rates=rates)
 
 
 def ks_distance(a, b) -> float:
@@ -426,7 +392,8 @@ def empirical_density(sample, grid_points: int = 256):
 
     Returns (grid, values) on an equispaced grid spanning [min - 3h, max + 3h],
     renormalized so the trapezoid integral is exactly 1.  A zero-variance
-    sample degenerates to a unit-mass spike of tiny width.
+    sample degenerates to a unit-mass spike of width 1e-9 |center|, floored
+    where its height 1 / width would overflow (a spike at 0 takes the floor).
     """
     x = np.asarray(sample, dtype=np.float64).ravel()
     if x.size < 2:
@@ -437,7 +404,7 @@ def empirical_density(sample, grid_points: int = 256):
     std = float(np.std(x))
     if std == 0.0:
         center = float(x[0])
-        width = 1e-9 * max(1.0, abs(center))
+        width = 1e-9 * max(abs(center), 1e-290)
         grid = np.array([center - width, center, center + width])
         height = 2.0 / (grid[2] - grid[0])
         return grid, np.array([0.0, height, 0.0])

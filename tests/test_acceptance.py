@@ -196,7 +196,7 @@ def test_criterion_7_studentized_clt(clt_run):
     cfg, report, elapsed = clt_run
     normals = derive_rng(ACCEPT_SEED, 100).standard_normal(2000)
     ks_by_n = []
-    for block in report.per_n:
+    for block in report["per_n"]:
         stud = np.array([r["studentized"] for r in block["replicates"]], dtype=float)
         assert stud.shape == (cfg.replicates, 6)
         ks_by_n.append(
@@ -216,10 +216,10 @@ def test_criterion_7_studentized_clt(clt_run):
 
 def test_criterion_8_dbw_limit_law(clt_run):
     cfg, report, _ = clt_run
-    block = report.per_n[-1]
+    block = report["per_n"][-1]
     assert block["n"] == 1000
     ks = block["summaries"]["dbw"]["ks_limit"]
-    assert len(report.limit_samples["dbw"]) == 10000
+    assert len(report["limit_samples"]["dbw"]) == 10000
     _report(
         8,
         ks is not None and ks <= 0.05,
@@ -229,12 +229,12 @@ def test_criterion_8_dbw_limit_law(clt_run):
 
 def test_criterion_9_variance_clt(clt_run):
     cfg, report, _ = clt_run
-    block = report.per_n[-1]
+    block = report["per_n"][-1]
     stats = np.array([r["variance"] for r in block["replicates"]])
     var_stat = float(np.var(stats))
     # fresh Monte Carlo of var d^2(Q*, S): 20000 new draws of the sampled law
     pool = _population(cfg)[2].array
-    q_star = np.array(report.q_star)
+    q_star = np.array(report["population"]["q_star"])
     idx = derive_rng(ACCEPT_SEED, 200).integers(0, pool.shape[0], size=20000)
     fresh = pool[idx]
     d2 = np.array([bw_distance_sq(q_star, s) for s in fresh])
@@ -257,8 +257,8 @@ def test_criterion_10_concentration_rate():
         seed=ACCEPT_SEED + 1,
     )
     report = run_concentration_experiment(cfg)
-    s_f = report.rates["fnorm_rel"]
-    s_d = report.rates["dbw_err"]
+    s_f = report["rates"]["fnorm_rel"]
+    s_d = report["rates"]["dbw_err"]
     ok = -0.55 <= s_f <= -0.45 and -0.55 <= s_d <= -0.45
     _report(
         10,
@@ -271,7 +271,7 @@ def test_criterion_10_concentration_rate():
 @pytest.fixture(scope="session")
 def perturbation_replicates(clt_run):
     cfg, report, _ = clt_run
-    q_star = np.array(report.q_star)
+    q_star = np.array(report["population"]["q_star"])
     basis = standard_basis(3)
     w, v = np.linalg.eigh(q_star)
     inv_root = (v / np.sqrt(w)) @ v.T

@@ -8,6 +8,7 @@ from bwbary import (
     DegenerateInputError,
     DimensionMismatchError,
     NotHermitianError,
+    NumericalError,
     SampleSet,
     SolverConfig,
     ValidationError,
@@ -79,7 +80,8 @@ class TestSampleSet:
         ([[[1.0, 2.0], [3.0]]], None, DimensionMismatchError),
         ([np.eye(2)], ["a"], ValidationError),
         ([np.eye(2), np.eye(2)], [[0.5], [0.25, 0.25]], DimensionMismatchError),
-    ], ids=["ragged-matrix", "string-weight", "ragged-weights"])
+        ([np.eye(2), np.eye(3)], None, DimensionMismatchError),
+    ], ids=["ragged-matrix", "string-weight", "ragged-weights", "mixed-shapes"])
     def test_malformed_input_is_bw_error(self, matrices, weights, error):
         with pytest.raises(error):
             SampleSet(matrices, weights=weights)
@@ -131,6 +133,16 @@ class TestFrechetVariance:
         q = rand_spd(rng, 3)
         ss = SampleSet([q.copy() for _ in range(4)])
         assert frechet_variance(q, ss) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q, samples", [
+        (np.eye(2), [1e308 * np.eye(2)]),
+        (1e308 * np.eye(2), [np.eye(2)]),
+        (np.diag([1e308, 0.0]), [np.diag([0.0, 1e308])]),
+    ], ids=["sample-trace", "q-trace", "trace-sum"])
+    def test_trace_overflow_is_numerical_error(self, q, samples):
+        # a numpy overflow warning would be an error under the suite's filters
+        with pytest.raises(NumericalError, match="overflows"):
+            frechet_variance(q, samples)
 
     def test_single_sample_matches_distance(self):
         assert frechet_variance(

@@ -361,6 +361,25 @@ class TestNonFinite:
         self._fails(capsys, 1, "distance", workdir / "q.mat", workdir / "s.mat",
                     "--means", workdir / "ma.txt", workdir / "mb.txt")
 
+    def test_huge_integer_envelope_input_is_exit_1(self, capsys):
+        # an integer beyond the float range, where float() raises OverflowError
+        self._fails(capsys, 1, "envelope", "--kind", "q", "--c-q", "1", "--d", "1" + "0" * 400,
+                    "--n", "10", "--t", "1")
+
+    def test_huge_integer_eig_law_is_exit_1(self, workdir, capsys):
+        path = workdir / "cfg.json"
+        path.write_text(json.dumps({"kind": "clt", "d": 2, "eig_law": [18, 10 ** 400]}))
+        self._fails(capsys, 1, "simulate", "--config", path, "--out", workdir / "r.json")
+
+    @pytest.mark.parametrize("order", ["big-first", "big-second"])
+    def test_overflowing_trace_distance_is_exit_2(self, workdir, capsys, order):
+        save_bundle(SampleSet([1e308 * np.eye(2)]), workdir / "big.mat")
+        save_bundle(SampleSet([np.eye(2)]), workdir / "one.mat")
+        pair = ["big.mat", "one.mat"][::1 if order == "big-first" else -1]
+        code, out, err = run_cli(capsys, "distance", *(workdir / name for name in pair))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_infinite_tolerance_is_exit_1(self, workdir, capsys):
         out_path = workdir / "b.mat"
         self._fails(capsys, 1, "barycenter", workdir / "rich.mat", "--tol", "inf",

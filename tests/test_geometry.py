@@ -3,6 +3,7 @@ import pytest
 
 from bwbary import (
     DimensionMismatchError,
+    NumericalError,
     PsdMatrix,
     SingularMatrixError,
     bw_distance,
@@ -73,6 +74,33 @@ class TestDistance:
         a = np.array([[2.0, 1j], [-1j, 2.0]])
         assert bw_distance_sq(a, a.copy()) == 0.0
         assert bw_distance_sq(a, np.eye(2, dtype=complex)) > 0.0
+
+    @pytest.mark.parametrize("q, s", [
+        (1e308 * np.eye(2), np.eye(2)),
+        (np.eye(2), 1e308 * np.eye(2)),
+        (np.diag([1e308, 0.0]), np.diag([0.0, 1e308])),
+    ], ids=["trace-q", "trace-s", "trace-sum"])
+    def test_trace_overflow_is_numerical_error(self, q, s):
+        # finite matrices whose traces pass the float range; a numpy overflow
+        # warning would be an error under the suite's filters
+        with pytest.raises(NumericalError, match="overflows"):
+            bw_distance_sq(q, s)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_negative_roundoff_floor_is_relative(self, monkeypatch, scale):
+        # tr Q + tr S = 7 s; the patched spectrum makes the value -7 s r exactly
+        # up to roundoff, which is clamped for r = 1e-12 and an error for r = 1e-8
+        q, s = scale * np.eye(2), scale * np.diag([1.0, 4.0])
+
+        def shortfall(r):
+            root = 7.0 * scale * (1.0 + r) / 4.0
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(2, root * root))
+
+        shortfall(1e-12)
+        assert bw_distance_sq(q, s) == 0.0
+        shortfall(1e-8)
+        with pytest.raises(NumericalError, match="negative"):
+            bw_distance_sq(q, s)
 
 
 class TestTransportMap:

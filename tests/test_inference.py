@@ -23,7 +23,9 @@ from bwbary import (
     estimate_sigma_hat,
     estimate_xi_hat,
     eta_n_diagnostic,
+    frechet_variance,
     operator_matrix,
+    residual,
     sample_limit_dbw,
     sigma_perturbation_bound,
     solve_barycenter,
@@ -547,7 +549,8 @@ class TestVarianceCltStats:
         with pytest.raises(DimensionMismatchError):
             clt_report(ss, np.eye(2), standard_basis(3))
 
-    @pytest.mark.parametrize("v_ref", [float("nan"), float("inf"), "1.0"])
+    @pytest.mark.parametrize("v_ref", [float("nan"), float("inf"), "1.0", 10 ** 400],
+                             ids=["nan", "inf", "1.0", "huge-int"])
     def test_non_finite_reference_variance_rejected(self, v_ref):
         rng = np.random.default_rng(17)
         ss = SampleSet([rand_spd(rng, 3) for _ in range(4)])
@@ -820,3 +823,55 @@ class TestEnvelopes:
             concentration_envelope_q(-1.0, 3, 100, 1.0)
         with pytest.raises(ValidationError):
             subexp_tail(1.0, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compose_c_q(10 ** 400, 1.0, 1.0),
+    lambda: concentration_envelope_q(1.0, 10 ** 400, 10, 1.0),
+    lambda: concentration_envelope_dbw(1.0, 1.0, 2, 10, 10 ** 400),
+    lambda: concentration_envelope_v(1.0, 1.0, 1.0, 1.0, 2, 10 ** 400, 1.0),
+    lambda: subexp_tail(1.0, 1.0, 10 ** 400),
+    lambda: studentized_statistic(np.eye(2), 2 * np.eye(2),
+                                  OperatorOnM(standard_basis(2), np.eye(3)),
+                                  standard_basis(2), 10 ** 400),
+], ids=["c_q", "q", "dbw", "v", "subexp-t", "studentized-n"])
+def test_integer_beyond_float_range_is_validation_error(call):
+    # float() of such an integer raises OverflowError; the inputs pass one
+    # conversion that makes it a ValidationError
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        call()
+
+
+_B2, _B3, _I2, _I3 = standard_basis(2), standard_basis(3), np.eye(2), np.eye(3)
+
+# Each (samples, Q) call on 3x3 samples with a Q, and where the call takes a
+# basis with a basis, of another dimension.
+_WRONG_DIMENSION = {
+    "frechet_variance": [lambda ss: frechet_variance(_I2, ss)],
+    "residual": [lambda ss: residual(_I2, ss), lambda ss: residual(_I3, ss, _B2)],
+    "estimate_sigma_hat": [lambda ss: estimate_sigma_hat(ss, _I2, _B3),
+                           lambda ss: estimate_sigma_hat(ss, _I3, _B2)],
+    "estimate_f_hat": [lambda ss: estimate_f_hat(ss, _I2, _B3),
+                       lambda ss: estimate_f_hat(ss, _I3, _B2)],
+    "eta_n_diagnostic": [lambda ss: eta_n_diagnostic(ss, _I2, _B3),
+                         lambda ss: eta_n_diagnostic(ss, _I3, _B2)],
+    "variance_clt_stats": [lambda ss: variance_clt_stats(ss, _I2, 1.0)],
+    "clt_report": [lambda ss: clt_report(ss, _I2, _B3), lambda ss: clt_report(ss, _I3, _B2),
+                   lambda ss: clt_report(ss, _I3, standard_basis(2, kind="traceless"))],
+    "sigma_perturbation_bound": [lambda ss: sigma_perturbation_bound(ss, _I2, _I3),
+                                 lambda ss: sigma_perturbation_bound(ss, _I3, _I2)],
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_DIMENSION))
+def test_base_point_gate_runs_before_any_prep(monkeypatch, name):
+    def no_prep(*args, **kwargs):
+        raise AssertionError("a transport prep was built before the dimension check")
+
+    monkeypatch.setattr("bwbary.barycenter._transport_stack", no_prep)
+    monkeypatch.setattr("bwbary.inference._transport_stack", no_prep)
+    rng = np.random.default_rng(21)
+    for call in _WRONG_DIMENSION[name]:
+        ss = SampleSet([rand_spd(rng, 3) for _ in range(4)])
+        with pytest.raises(DimensionMismatchError):
+            call(ss)

@@ -288,7 +288,7 @@ class TestReports:
         path = tmp_path / "r.json"
         save_report(report, path)
         loaded = load_report(path)
-        assert loaded == report.to_dict()
+        assert loaded == report
 
     def test_schema_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -300,7 +300,7 @@ class TestReports:
     def test_non_finite_numbers_rejected(self, tmp_path, value):
         cfg = ExperimentConfig(d=2, n_grid=(3,), replicates=2, pop_proxy_size=30,
                                limit_draws=20, seed=2)
-        data = run_clt_experiment(cfg).to_dict()
+        data = run_clt_experiment(cfg)
         data["population"]["v_star"] = value
         path = tmp_path / "r.json"
         with pytest.raises(ValidationError, match="non-finite"):
@@ -326,7 +326,7 @@ class TestReports:
         assert sample[0] == "replicate,value"
         assert len(sample) == 1 + 3
         values = [float(line.split(",")[1]) for line in sample[1:]]
-        report_values = [r["dbw"] for r in report.per_n[0]["replicates"]]
+        report_values = [r["dbw"] for r in report["per_n"][0]["replicates"]]
         assert values == report_values
 
 
@@ -385,7 +385,7 @@ class TestReportValidatorOracle:
         cfg = ExperimentConfig(d=2, n_grid=(3, 4), replicates=2, pop_proxy_size=40,
                                limit_draws=5, histogram_bins=3, kde_grid_points=4, seed=7)
         runner = run_clt_experiment if request.param == "clt" else run_concentration_experiment
-        return runner(cfg).to_dict()
+        return runner(cfg)
 
     def test_valid_report_passes_both(self, report):
         oracle = Draft202012Validator(bwio._report_validator().schema)

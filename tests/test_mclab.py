@@ -93,12 +93,17 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"d": True}, {"replicates": True}, {"seed": False}, {"n_grid": [True, 2]},
         {"solver_tol": True}, {"eig_law": [True, 2]}, {"solver_max_iter": True},
-        {"eig_law": ["1", "2"]}, {"eig_law": [1.0, float("inf")]},
+        {"eig_law": ["1", "2"]}, {"eig_law": [1.0, float("inf")]}, {"eig_law": [1, 10 ** 400]},
     ], ids=["d", "replicates", "seed", "n_grid", "solver_tol", "eig_law", "max_iter",
-            "eig_law-strings", "eig_law-infinite"])
+            "eig_law-strings", "eig_law-infinite", "eig_law-huge-int"])
     def test_booleans_and_non_numbers_rejected(self, bad):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"d": 2, **bad})
+
+    def test_traceless_slice_rejected_at_d_1(self):
+        # the experiment basis is built with the config, before any draw
+        with pytest.raises(ValidationError, match="d >= 2"):
+            ExperimentConfig(d=1, constraint="traceless-trace1")
 
     def test_round_trip_dict(self):
         cfg = small_config(constraint="traceless-trace1")
@@ -142,33 +147,33 @@ class TestCltExperiment:
     def test_single_sample_replicate(self):
         cfg = small_config(n_grid=(1,), replicates=1, seed=5)
         report = run_clt_experiment(cfg)
-        block = report.per_n[0]
+        block = report["per_n"][0]
         rec = block["replicates"][0]
         rng = derive_rng(cfg.seed, 1, 1, 0)
         sample = _replicate_draw(cfg, None, 1, rng).array[0]
         assert np.allclose(np.array(rec["q_n"]), sample, atol=1e-12)
-        expected = bw_distance(sample, np.array(report.q_star))
+        expected = bw_distance(sample, np.array(report["population"]["q_star"]))
         assert rec["dbw"] == pytest.approx(expected, abs=1e-12)
 
     def test_trace_one_constraint(self):
         cfg = small_config(constraint="traceless-trace1", d=3, n_grid=(4,),
                            replicates=3, pop_proxy_size=60, eig_law=(1.0, 5.0))
         report = run_clt_experiment(cfg)
-        for rec in report.per_n[0]["replicates"]:
+        for rec in report["per_n"][0]["replicates"]:
             assert abs(np.trace(np.array(rec["q_n"])) - 1.0) <= 1e-12
 
     def test_determinism_same_config(self):
         cfg = small_config()
-        assert run_clt_experiment(cfg).to_dict() == run_clt_experiment(cfg).to_dict()
+        assert run_clt_experiment(cfg) == run_clt_experiment(cfg)
 
     def test_determinism_across_thread_counts(self):
         cfg = small_config(seed=17)
         old = os.environ.get("BWB_THREADS")
         try:
             os.environ["BWB_THREADS"] = "1"
-            serial = run_clt_experiment(cfg).to_dict()
+            serial = run_clt_experiment(cfg)
             os.environ["BWB_THREADS"] = "4"
-            threaded = run_clt_experiment(cfg).to_dict()
+            threaded = run_clt_experiment(cfg)
         finally:
             if old is None:
                 os.environ.pop("BWB_THREADS", None)
@@ -180,8 +185,8 @@ class TestCltExperiment:
         # replicate k's record depends only on (seed, n, k), not on the count
         cfg2 = small_config(replicates=2)
         cfg4 = small_config(replicates=4)
-        r2 = run_clt_experiment(cfg2).to_dict()
-        r4 = run_clt_experiment(cfg4).to_dict()
+        r2 = run_clt_experiment(cfg2)
+        r4 = run_clt_experiment(cfg4)
         for b2, b4 in zip(r2["per_n"], r4["per_n"]):
             assert b2["replicates"] == b4["replicates"][: len(b2["replicates"])]
 
@@ -189,19 +194,19 @@ class TestCltExperiment:
         cfg = small_config(seed=29)
         report = run_clt_experiment(cfg)
         pool = _population(cfg)[2]
-        for block in report.per_n:
+        for block in report["per_n"]:
             n = block["n"]
             for rec in block["replicates"]:
                 rng = derive_rng(cfg.seed, 1, n, rec["replicate"])
                 samples = _replicate_draw(cfg, pool, n, rng)
                 v_n = frechet_variance(np.array(rec["q_n"]), samples)
-                recomputed = np.sqrt(n) * (v_n - report.v_star)
+                recomputed = np.sqrt(n) * (v_n - report["population"]["v_star"])
                 assert rec["variance"] == pytest.approx(recomputed, abs=1e-10)
 
     def test_histogram_counts_sum_to_replicates(self):
         cfg = small_config(seed=41)
         report = run_clt_experiment(cfg)
-        for block in report.per_n:
+        for block in report["per_n"]:
             for stat in ("fnorm", "dbw", "variance"):
                 counts = block["summaries"][stat]["histogram"]["counts"]
                 assert sum(counts) == len(block["replicates"])
@@ -211,7 +216,7 @@ class TestCltExperiment:
         report = run_clt_experiment(cfg)
         pool = _population(cfg)[2]
         pool_bytes = {pool.array[i].tobytes() for i in range(len(pool))}
-        n = report.per_n[0]["n"]
+        n = report["per_n"][0]["n"]
         rng = derive_rng(cfg.seed, 1, n, 0)
         stack = _replicate_draw(cfg, pool, n, rng).array
         assert all(stack[i].tobytes() in pool_bytes for i in range(n))
@@ -221,7 +226,7 @@ class TestCltExperiment:
         cfg = ExperimentConfig(d=10, n_grid=(60,), replicates=2,
                                pop_proxy_size=2000, limit_draws=200, seed=13)
         report = run_clt_experiment(cfg)
-        block = report.per_n[0]
+        block = report["per_n"][0]
         assert block["failures"] == 0
         for rec in block["replicates"]:
             assert len(rec["studentized"]) == 55
@@ -254,7 +259,7 @@ class TestConcentrationExperiment:
                                pop_proxy_size=30, eig_law=(5.0, 5.0),
                                u_mode="identity", seed=3)
         report = run_concentration_experiment(cfg)
-        for block in report.per_n:
+        for block in report["per_n"]:
             for rec in block["replicates"]:
                 assert rec["fnorm_rel"] <= 1e-9
                 assert rec["dbw_err"] <= 1e-7
@@ -263,8 +268,8 @@ class TestConcentrationExperiment:
         cfg = ExperimentConfig(d=2, n_grid=(25, 100), replicates=60,
                                pop_proxy_size=8000, seed=9)
         report = run_concentration_experiment(cfg)
-        assert -0.65 <= report.rates["fnorm_rel"] <= -0.35
-        meds = [b["summaries"]["fnorm_rel"]["median"] for b in report.per_n]
+        assert -0.65 <= report["rates"]["fnorm_rel"] <= -0.35
+        meds = [b["summaries"]["fnorm_rel"]["median"] for b in report["per_n"]]
         assert meds[0] / meds[1] == pytest.approx(2.0, rel=0.35)
 
 
@@ -314,6 +319,12 @@ class TestEmpiricalDensity:
         grid, values = empirical_density(np.full(10, 3.0), 64)
         assert grid[1] == pytest.approx(3.0)
         assert _trapz(values, grid) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("center", [0.0, 1e-300, 1e-12, 3.0, -2e12])
+    def test_degenerate_spike_width_is_relative(self, center):
+        grid, values = empirical_density(np.full(10, center), 64)
+        assert grid[2] - grid[1] == pytest.approx(1e-9 * max(abs(center), 1e-290), rel=1e-6)
+        assert values[1] * (grid[2] - grid[0]) / 2 == pytest.approx(1.0)
 
     def test_normal_sample_peak(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,11 @@
 """The public surface of `bwbary`, pinned: adding or removing a public name,
 or a parameter of the calls below, is a visible change to this file."""
 
+import importlib
+import importlib.util
 import inspect
 import types
+from pathlib import Path
 
 import bwbary
 
@@ -25,7 +28,6 @@ PUBLIC_NAMES = [
     "PositivityLossError",
     "PsdMatrix",
     "SampleSet",
-    "SimulationReport",
     "SingularMatrixError",
     "SolverConfig",
     "SubspaceBasis",
@@ -98,3 +100,31 @@ def test_trimmed_parameter_lists():
     got = {name: list(inspect.signature(getattr(bwbary, name)).parameters)
            for name in PARAMETERS}
     assert got == PARAMETERS
+
+
+# Names the benchmark tracer patches that the program no longer has; each one
+# is a span that reads zero.
+TRACER_ABSENT = [
+    "bwbary.mclab._psd_sqrt_stack",
+    "bwbary.inference._psd_sqrt_stack",
+    "bwbary.inference._dt_stack",
+    "bwbary.barycenter._psd_sqrt_stack",
+]
+
+
+def test_benchmark_tracer_names_resolve():
+    # resolve every patch target as perfbench's Tracer.install does, without
+    # installing anything, so a rename cannot silently empty a benchmark span
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = []
+    for module_name, attr, *_ in tracer.PATCHES + [("bwbary.mclab", "_map_ordered")]:
+        owner = importlib.import_module(module_name)
+        try:
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            absent.append(f"{module_name}.{attr}")
+    assert absent == TRACER_ABSENT
