@@ -48,9 +48,9 @@ VARIANCE_REL_SLACK = 1e-10
 class SampleSet:
     """An ordered collection of PSD matrices with normalized weights.
 
-    The roots S_i^{1/2} and strict-positivity flags come from the input gate's
-    eigendecomposition.  The memo of the last transport prep is replaced
-    whole, so threads sharing a set can at worst recompute the same prep.
+    Roots S_i^{1/2} and strict-positivity flags come from the input gate's
+    eigh, or from a simulation's drawn spectra.  The memo of the last prep is
+    replaced whole, so threads sharing a set can at worst recompute a prep.
     """
 
     __slots__ = ("array", "weights", "mode", "roots", "_pd", "_prep")
@@ -78,7 +78,7 @@ class SampleSet:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
         self._init(stack, w, mode, _spectral(eigs, vecs, _clipped_sqrt), _is_pd(eigs))
 
-    def _init(self, stack, weights, mode, roots, pd) -> None:
+    def _init(self, stack, weights, mode, roots, pd) -> SampleSet:
         for a in (stack, weights, roots, pd):
             a.setflags(write=False)
         self.array = stack
@@ -87,15 +87,15 @@ class SampleSet:
         self.roots = roots
         self._pd = pd
         self._prep = None
+        return self
 
     def _take(self, idx) -> SampleSet:
         """The uniformly weighted resample self[idx], bitwise SampleSet(self.array[idx])
         without its gate: eigh works matrix by matrix, and a row is its own
         Hermitian part."""
-        out = SampleSet.__new__(SampleSet)
         n = len(idx)
-        out._init(self.array[idx], np.full(n, 1.0 / n), self.mode, self.roots[idx], self._pd[idx])
-        return out
+        return SampleSet.__new__(SampleSet)._init(self.array[idx], np.full(n, 1.0 / n), self.mode,
+                                                  self.roots[idx], self._pd[idx])
 
     @property
     def dim(self) -> int:
@@ -252,22 +252,29 @@ def _ridge_to_pd(anchor, basis, ss):
 def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> BarycenterResult:
     """One loop for both step rules, evaluated at each iterate's transport prep.
 
-    Without a basis it runs the fixed-point map Q <- T Q T from the weighted
-    mean, T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 +
-    M from the anchor (the mean by default), with the Hessian F = -sum_i w_i
-    dT_i in M-coordinates; steps halve until the iterate stays strictly
-    positive and the variance passes the Armijo test.
+    Both start from R^2, R = sum_i w_i S_i^{1/2} from the gate's roots, or
+    from the weighted mean when one weight is positive ((S^{1/2})^2 is S only
+    up to roundoff).  Without a basis it runs the fixed-point map Q <- T Q T,
+    T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 + M
+    with the Hessian F = -sum_i w_i dT_i in M-coordinates; steps halve until
+    the iterate stays strictly positive and the variance passes the Armijo test.
     """
     weights, d = ss.weights, ss.dim
     rule = "fixed-point" if basis is None else "affine-newton"
     mean_trace = ss.mean_trace
-    q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
+    if np.count_nonzero(weights) == 1:
+        q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
+    else:
+        root_mean = np.einsum("n,nij->ij", weights, ss.roots)
+        q = hermitian_part(root_mean @ root_mean)
     if basis is not None:
         anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
-        if anchor.is_strictly_positive():
-            q = anchor.array.astype(ss.array.dtype)
-        else:
-            q = _ridge_to_pd(anchor, basis, ss)
+        q = hermitian_part(anchor.array + project_subspace(basis, q - anchor.array))
+        if not _is_pd(np.linalg.eigvalsh(q)):
+            if anchor.is_strictly_positive():
+                q = anchor.array.astype(ss.array.dtype)
+            else:
+                q = _ridge_to_pd(anchor, basis, ss)
     history = []
     variances = []
     for it in range(cfg.max_iter + 1):
@@ -327,9 +334,13 @@ def solve_barycenter(
     Unconstrained problems run the classical fixed-point map Q <- T Q T, with
     T the weighted mean of the transport maps T_Q^{S_i}; constrained ones run
     damped Newton steps whose iterates never leave A (with `standard_basis(d)`
-    as the constraint, Newton on all of H).  Both rules evaluate each
-    iterate through the sample set's transport prep, so estimators called at
-    the returned barycenter reuse the last one.  The exit certificate is the
+    as the constraint, Newton on all of H).  The fixed point starts at the
+    squared root mean R^2 = (sum_i w_i S_i^{1/2})^2, the barycenter of
+    commuting samples; Newton at Q0 + Pi_M(R^2 - Q0) if that is strictly
+    positive, else at the anchor Q0 (by default R^2).  A set with one positive
+    weight starts at that sample, bitwise.  Both rules evaluate each iterate
+    through the sample set's transport prep, so estimators called at the
+    returned barycenter reuse the last one.  The exit certificate is the
     first-order residual ||Pi_M(mean T - I)||_F.
     """
     ss = as_sample_set(samples)

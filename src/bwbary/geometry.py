@@ -4,6 +4,7 @@ differential structure of the squared distance."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,9 +54,12 @@ def bw_distance_sq(q, s) -> float:
     if a.tobytes() == b.tobytes():
         return 0.0
     traces = _finite(float(_trace(a)) + float(_trace(b)), "tr Q + tr S")
-    root = first._func(_clipped_sqrt)
-    inner = np.linalg.eigvalsh(root @ b @ root)
-    value = traces - 2.0 * float(np.sum(np.sqrt(np.clip(inner, 0.0, None))))
+    # Q^{1/2} S Q^{1/2} is formed on the pair scaled by 4^-k to about unit
+    # trace, where it cannot overflow; a power of two scales without rounding.
+    k = math.frexp(traces)[1] // 2
+    root = first._func(_clipped_sqrt) * math.ldexp(1.0, -k)
+    inner = np.linalg.eigvalsh(root @ (b * math.ldexp(1.0, -2 * k)) @ root)
+    value = traces - 2.0 * math.ldexp(float(np.sum(np.sqrt(np.clip(inner, 0.0, None)))), 2 * k)
     if value < 0.0:
         if value < -1e-10 * traces:
             raise NumericalError(f"squared distance came out negative: {value:.3e}")

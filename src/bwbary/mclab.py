@@ -21,7 +21,7 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import bw_distance
-from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _diag_embed, _inv_sqrt, _spectral,
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _is_pd, _spectral,
                         hermitian_part, standard_basis)
 from .inference import _xi_root, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
@@ -158,14 +158,14 @@ def _haar_stack(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs[:, None, :]
 
 
-def _random_spd_stack(count: int, d: int, eig_law, rng: np.random.Generator,
-                      u_mode: str = "haar") -> np.ndarray:
+def _random_spd_draws(count: int, d: int, eig_law, rng: np.random.Generator,
+                      u_mode: str = "haar"):
+    """count draws U diag(lam) U^T: (their stack, lam, U), lam in draw order."""
     a, b = eig_law
     lam = rng.uniform(a, b, size=(count, d))
-    if u_mode == "identity":
-        return _diag_embed(lam, d, np.float64)
-    u = _haar_stack(count, d, rng)
-    return hermitian_part(_spectral(lam, u, lambda w: w))
+    u = np.broadcast_to(np.eye(d), (count, d, d)) if u_mode == "identity" else \
+        _haar_stack(count, d, rng)
+    return hermitian_part(_spectral(lam, u, lambda w: w)), lam, u
 
 
 def random_spd(d: int, eig_law, rng: np.random.Generator,
@@ -176,16 +176,21 @@ def random_spd(d: int, eig_law, rng: np.random.Generator,
     R-diagonal signs fixed; u_mode="identity" is the commuting test hook.
     """
     a, b = _checked_law(d, eig_law, u_mode)
-    return PsdMatrix(_random_spd_stack(1, d, (a, b), rng, u_mode)[0], mode=REAL)
+    return PsdMatrix(_random_spd_draws(1, d, (a, b), rng, u_mode)[0][0], mode=REAL)
 
 
-def _draw_samples(config: ExperimentConfig, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    stack = _random_spd_stack(count, config.d, config.eig_law, rng, config.u_mode)
+def _draw_set(config: ExperimentConfig, count: int, rng: np.random.Generator) -> SampleSet:
+    """count draws of the configured law as a uniformly weighted SampleSet whose
+    roots and positivity come from the drawn spectra: no gate and no eigh.  A
+    drawn matrix is exactly symmetric, so its stack is bitwise the gate's."""
+    stack, lam, u = _random_spd_draws(count, config.d, config.eig_law, rng, config.u_mode)
     if config.constraint == TRACE_ONE:
         traces = np.trace(stack, axis1=1, axis2=2)
         stack = stack / traces[:, None, None]
-    return stack
+        lam = lam / traces[:, None]
+    return SampleSet.__new__(SampleSet)._init(stack, np.full(count, 1.0 / count), REAL,
+                                              _spectral(lam, u, np.sqrt),
+                                              _is_pd(np.sort(lam, axis=1)))
 
 
 def _experiment_basis(config: ExperimentConfig) -> SubspaceBasis:
@@ -198,14 +203,13 @@ def _replicate_draw(config: ExperimentConfig, pool: SampleSet, n: int,
     """A replicate's n samples: a resample reusing the pool's gate, or fresh draws."""
     if config.sampling == "pool":
         return pool._take(rng.integers(0, len(pool), size=n))
-    return SampleSet(_draw_samples(config, n, rng))
+    return _draw_set(config, n, rng)
 
 
 def _population(config: ExperimentConfig):
-    stack = _draw_samples(config, config.pop_proxy_size, derive_rng(config.seed, _DOMAIN_PROXY))
+    pool = _draw_set(config, config.pop_proxy_size, derive_rng(config.seed, _DOMAIN_PROXY))
     constraint = _experiment_basis(config) if config.constraint else None
     cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
-    pool = SampleSet(stack)
     result = solve_barycenter(pool, constraint=constraint, config=cfg)
     return result.barycenter, result.variance, pool
 

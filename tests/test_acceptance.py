@@ -29,7 +29,7 @@ from bwbary import (
 )
 from bwbary.geometry import bw_gradient
 from bwbary.hermitian import frobenius_inner
-from bwbary.mclab import ExperimentConfig, _population, _random_spd_stack, \
+from bwbary.mclab import ExperimentConfig, _population, _random_spd_draws, \
     derive_rng, ks_distance
 
 from helpers import rand_hermitian, rand_spd, rescaled_operator
@@ -278,7 +278,7 @@ def perturbation_replicates(clt_run):
     rows = []
     for k in range(200):
         rng = derive_rng(ACCEPT_SEED + 2, k)
-        stack = _random_spd_stack(50, 3, (18.0, 22.0), rng)
+        stack = _random_spd_draws(50, 3, (18.0, 22.0), rng)[0]
         ss = SampleSet(stack)
         q_n = solve_barycenter(ss).barycenter
         q_prime_gap = float(

@@ -24,7 +24,7 @@ from bwbary import barycenter as barycenter_module
 from bwbary.barycenter import VARIANCE_REL_SLACK
 from bwbary.hermitian import RANK_REL_TOL, SubspaceBasis, as_psd
 from bwbary.inference import estimate_f_hat, estimate_sigma_hat
-from bwbary.mclab import _random_spd_stack
+from bwbary.mclab import ExperimentConfig, _draw_set, _random_spd_draws
 
 from helpers import (count_decompositions, matrix_count, rand_orthogonal, rand_psd_singular,
                      rand_spd)
@@ -119,7 +119,7 @@ class TestVarianceWarningScale:
     @pytest.mark.parametrize("step_rule", ["fixed-point", "affine-newton"])
     def test_no_warning_at_any_scale(self, caplog, step_rule):
         # the variance is in trace units; an absolute slack misfires at 1e8 and 1e12
-        stack = _random_spd_stack(50, 3, (1.0, 5.0), np.random.default_rng(0))
+        stack = _random_spd_draws(50, 3, (1.0, 5.0), np.random.default_rng(0))[0]
         basis = _rule_constraint(step_rule, 3)
         with caplog.at_level(logging.WARNING, logger="bwbary.barycenter"):
             for scale in (1e-12, 1.0, 1e8, 1e12):
@@ -163,7 +163,7 @@ class TestFrechetVariance:
     def test_equals_solver_variance_bitwise(self, step_rule):
         # V at the returned barycenter is the solver's own value, whether the
         # prep is reused or rebuilt on a fresh set
-        stack = _random_spd_stack(40, 3, (1.0, 5.0), np.random.default_rng(12))
+        stack = _random_spd_draws(40, 3, (1.0, 5.0), np.random.default_rng(12))[0]
         ss = SampleSet(stack)
         result = solve_barycenter(ss, constraint=_rule_constraint(step_rule, 3))
         assert frechet_variance(result.barycenter, ss) == result.variance
@@ -171,17 +171,30 @@ class TestFrechetVariance:
 
 
 class TestUnconstrainedSolver:
-    def test_commuting_oracle(self):
-        # closed form: sqrt of barycenter eigenvalues = mean of sample sqrts
+    def test_commuting_oracle(self, monkeypatch):
+        # closed form: sqrt of barycenter eigenvalues = mean of sample sqrts,
+        # which is where the solver starts; its one prep certifies it
         ss = SampleSet([np.diag([1.0, 4.0]), np.diag([9.0, 16.0])])
+        shapes = count_decompositions(monkeypatch)
         result = solve_barycenter(ss)
+        assert [s for s in shapes if matrix_count([s]) > 1] == [(2, 2, 2)]
         assert np.allclose(result.barycenter.array, np.diag([4.0, 9.0]), atol=1e-10)
+        assert result.iterations == 0
         assert result.residual <= 1e-10
         # characterization: mean transport map equals identity
         mean_t = sum(
             transport_map(result.barycenter, s).matrix.array for s in ss.array
         ) / len(ss)
         assert np.allclose(mean_t, np.eye(2), atol=1e-9)
+
+    def test_commuting_draws_solve_at_iteration_0(self, monkeypatch):
+        # diagonal draws commute, so the squared root mean is the barycenter
+        ss = _draw_set(ExperimentConfig(d=3, u_mode="identity"), 50, np.random.default_rng(3))
+        shapes = count_decompositions(monkeypatch)
+        result = solve_barycenter(ss)
+        assert [s for s in shapes if matrix_count([s]) > 1] == [(50, 3, 3)]
+        assert result.iterations == 0
+        assert result.residual <= 1e-10
 
     def test_single_sample_exact(self):
         rng = np.random.default_rng(2)
@@ -284,8 +297,12 @@ def _conjugated_fixed_point(stack, weights, tol=1e-10, max_iter=500):
     """The fixed-point map written through Q^{1/2} S_i Q^{1/2}: with R = sum_i
     w_i (Q^{1/2} S_i Q^{1/2})^{1/2}, mean T = Q^{-1/2} R Q^{-1/2} and the step
     is Q <- Q^{-1/2} R^2 Q^{-1/2}; eigenvalues at or below RANK_REL_TOL times
-    the largest count as zero.  Returns (Q, iterations)."""
-    q = np.einsum("n,nij->ij", weights, stack)
+    the largest count as zero.  It starts at the squared root mean (sum_i w_i
+    S_i^{1/2})^2, with the roots from its own eigh.  Returns (Q, iterations)."""
+    w, v = np.linalg.eigh(stack)
+    root_mean = np.einsum("n,nij->ij", weights,
+                          (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v.transpose(0, 2, 1)))
+    q = root_mean @ root_mean
     q = (q + q.conj().T) / 2
     eye = np.eye(q.shape[0])
     for it in range(max_iter + 1):
@@ -393,7 +410,7 @@ class TestConstrainedSolver:
     def test_singular_anchor_ridge_is_scale_free(self, scale):
         # the ridge moves along Pi_M(tau I - Q0) in the anchor's units, so the
         # solve is the same problem at every scale
-        stack = _random_spd_stack(20, 2, (1.0, 5.0), np.random.default_rng(5))
+        stack = _random_spd_draws(20, 2, (1.0, 5.0), np.random.default_rng(5))[0]
         traceless = standard_basis(2, kind="traceless")
 
         def solve(s):

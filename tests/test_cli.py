@@ -380,6 +380,15 @@ class TestNonFinite:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_distance_is_exit_0(self, workdir, capsys):
+        # Q^{1/2} S Q^{1/2} would overflow in the data's units; d^2 does not
+        save_bundle(SampleSet([1e200 * np.eye(2)]), workdir / "a.mat")
+        save_bundle(SampleSet([2e200 * np.eye(2)]), workdir / "b.mat")
+        code, out, err = run_cli(capsys, "distance", workdir / "a.mat", workdir / "b.mat")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d_bw_sq"] == bw_distance_sq(1e200 * np.eye(2), 2e200 * np.eye(2))
+
     def test_infinite_tolerance_is_exit_1(self, workdir, capsys):
         out_path = workdir / "b.mat"
         self._fails(capsys, 1, "barycenter", workdir / "rich.mat", "--tol", "inf",

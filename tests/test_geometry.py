@@ -75,6 +75,12 @@ class TestDistance:
         assert bw_distance_sq(a, a.copy()) == 0.0
         assert bw_distance_sq(a, np.eye(2, dtype=complex)) > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_below_the_float_range(self):
+        # Q^{1/2} S Q^{1/2} would be 2e400 in the data's units; d^2 = (6 - 4 sqrt 2) 1e200
+        value = bw_distance_sq(1e200 * np.eye(2), 2e200 * np.eye(2))
+        assert value == pytest.approx((6.0 - 4.0 * np.sqrt(2.0)) * 1e200, rel=1e-12)
+
     @pytest.mark.parametrize("q, s", [
         (1e308 * np.eye(2), np.eye(2)),
         (np.eye(2), 1e308 * np.eye(2)),
@@ -89,12 +95,15 @@ class TestDistance:
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_negative_roundoff_floor_is_relative(self, monkeypatch, scale):
         # tr Q + tr S = 7 s; the patched spectrum makes the value -7 s r exactly
-        # up to roundoff, which is clamped for r = 1e-12 and an error for r = 1e-8
+        # up to roundoff, which is clamped for r = 1e-12 and an error for r = 1e-8.
+        # It is homogeneous in the matrix decomposed (tr Q^{1/2} S Q^{1/2} = 5 s^2),
+        # whatever scale that matrix is formed at.
         q, s = scale * np.eye(2), scale * np.diag([1.0, 4.0])
 
         def shortfall(r):
-            root = 7.0 * scale * (1.0 + r) / 4.0
-            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(2, root * root))
+            share = (7.0 * (1.0 + r) / 4.0) ** 2 / 5.0
+            monkeypatch.setattr(np.linalg, "eigvalsh",
+                                lambda a: np.full(2, share * np.trace(a)))
 
         shortfall(1e-12)
         assert bw_distance_sq(q, s) == 0.0

@@ -38,7 +38,7 @@ from bwbary import (
 )
 from bwbary.geometry import F_HAT_CHUNK
 from bwbary.inference import XI_RANK_TOL, _f_prime_spectrum
-from bwbary.mclab import _random_spd_stack
+from bwbary.mclab import _random_spd_draws
 
 from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_orthogonal,
                      rand_spd, rand_unitary, rescaled_operator)
@@ -325,7 +325,7 @@ class TestSharedPrep:
         # the gate, whose eigh gives the roots, and three solver evaluations, the
         # last of which Sigma-hat and F-hat share; the rest are single d x d matrices.
         n = 1000
-        stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
+        stack = _random_spd_draws(n, 3, (18.0, 22.0), np.random.default_rng(42))[0]
         shapes = count_decompositions(monkeypatch)
         ss = SampleSet(stack)
         q_n = solve_barycenter(ss).barycenter
@@ -338,7 +338,7 @@ class TestSharedPrep:
         # a resample of a validated pool reuses the pool's gate, so only the
         # three solver evaluations decompose a stack
         n = 1000
-        pool = SampleSet(_random_spd_stack(4 * n, 3, (18.0, 22.0), np.random.default_rng(42)))
+        pool = SampleSet(_random_spd_draws(4 * n, 3, (18.0, 22.0), np.random.default_rng(42))[0])
         idx = np.random.default_rng(43).integers(0, len(pool), size=n)
         shapes = count_decompositions(monkeypatch)
         ss = pool._take(idx)
@@ -356,7 +356,7 @@ class TestSharedPrep:
         from bwbary.cli import main
 
         n = 1000
-        stack = _random_spd_stack(n, 3, (18.0, 22.0), np.random.default_rng(42))
+        stack = _random_spd_draws(n, 3, (18.0, 22.0), np.random.default_rng(42))[0]
         save_bundle(SampleSet(stack), tmp_path / "s.mat")
         save_bundle(SampleSet([20.0 * np.eye(3)]), tmp_path / "q.mat")
         shapes = count_decompositions(monkeypatch)
@@ -730,11 +730,11 @@ class TestComplexMode:
 class TestXiStability:
     def test_xi_hat_stable_between_4000_and_8000(self):
         # stability smoke test: the plug-in sandwich should have settled
-        from bwbary.mclab import _random_spd_stack
+        from bwbary.mclab import _random_spd_draws
 
         rng = np.random.default_rng(21)
         basis = standard_basis(3)
-        stack = _random_spd_stack(8000, 3, (18.0, 22.0), rng)
+        stack = _random_spd_draws(8000, 3, (18.0, 22.0), rng)[0]
         mats = {}
         for n in (4000, 8000):
             ss = SampleSet(stack[:n])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bwbary import (
+    ConvergenceError,
     ExperimentFailureError,
-    SampleSet,
     ValidationError,
     bw_distance,
     derive_rng,
@@ -17,7 +17,10 @@ from bwbary import (
     run_clt_experiment,
     run_concentration_experiment,
 )
+from bwbary import barycenter, mclab
 from bwbary.mclab import _DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw
+
+from helpers import count_decompositions, matrix_count
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -232,25 +235,35 @@ class TestCltExperiment:
             assert len(rec["studentized"]) == 55
             assert np.all(np.isfinite(rec["studentized"]))
 
-    def test_pool_validated_once(self, monkeypatch):
-        # the pool set that solves for Q* also feeds Sigma0, F0 and the draws
-        calls = []
-        init = SampleSet.__init__
+    def test_drawn_sets_skip_the_gate(self, monkeypatch):
+        # the pool that solves for Q* also feeds Sigma0, F0 and the draws; drawn
+        # sets read their roots from the drawn spectra, so every decomposition
+        # of a stack is a transport prep, none a gate
+        shapes = count_decompositions(monkeypatch)
+        prepped = []
+        original = barycenter._transport_stack
 
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            init(self, *args, **kwargs)
+        def recording(q, roots):
+            prepped.append(len(roots))
+            return original(q, roots)
 
-        monkeypatch.setattr(SampleSet, "__init__", counting)
-        cfg = small_config(n_grid=(3, 4), replicates=3)
-        run_clt_experiment(cfg)
-        assert len(calls) == 1 + 3 * 2
+        monkeypatch.setattr(barycenter, "_transport_stack", recording)
+        run_clt_experiment(small_config(n_grid=(3, 4), replicates=3))
+        stacks = [shape for shape in shapes if len(shape) == 3 and shape[0] > 1]
+        assert matrix_count(stacks) == sum(n for n in prepped if n > 1) > 0
 
-    def test_failures_above_threshold_raise(self):
-        # proxy converges at its own 1e-10 target, replicates cannot hit 1e-16
-        cfg = small_config(solver_max_iter=50, solver_tol=1e-16)
-        with pytest.raises(ExperimentFailureError):
-            run_clt_experiment(cfg)
+    def test_failures_above_threshold_raise(self, monkeypatch):
+        # every replicate solve at n=3 fails; the pool's own solve does not
+        solve = mclab.solve_barycenter
+
+        def failing(samples, **kwargs):
+            if len(samples) == 3:
+                raise ConvergenceError("forced failure")
+            return solve(samples, **kwargs)
+
+        monkeypatch.setattr(mclab, "solve_barycenter", failing)
+        with pytest.raises(ExperimentFailureError, match="6/6 replicates failed at n=3"):
+            run_clt_experiment(small_config())
 
 
 class TestConcentrationExperiment:

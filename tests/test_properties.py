@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bwbary import (
     SampleSet,
+    SubspaceBasis,
     ValidationError,
     bw_distance,
     solve_barycenter,
@@ -34,13 +35,14 @@ def _samples(seed, n, d, complex_mode=False):
     return mats / np.real(np.trace(mats, axis1=1, axis2=2))[:, None, None]
 
 
-def _solve(rule, mats, weights=None, mode=None):
-    """The barycenter under a rule; Newton runs on the trace-one slice, whose
-    traceless basis and anchor I/d are unitarily invariant."""
+def _solve(rule, mats, weights=None, mode=None, scale=1.0):
+    """The barycenter under a rule; Newton runs on the slice of trace scale,
+    whose traceless basis and anchor scale I/d are unitarily invariant."""
     ss = SampleSet(mats, weights=weights, mode=mode)
     constraint = None
     if rule == "affine-newton":
-        constraint = standard_basis(ss.dim, mode=ss.mode, kind="traceless")
+        basis = standard_basis(ss.dim, mode=ss.mode, kind="traceless")
+        constraint = SubspaceBasis(basis.basis, mode=ss.mode, anchor=scale * basis.anchor.array)
     result = solve_barycenter(ss, constraint=constraint)
     return result.barycenter.array
 
@@ -49,12 +51,14 @@ def _close(a, b, rel=1e-9):
     return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("rule", RULES)
 @FEW
 @given(seed=seeds, n=sizes, d=dims, exponent=st.integers(-12, 12))
-def test_scale_equivariance_fixed_point(seed, n, d, exponent):
+def test_scale_equivariance(rule, seed, n, d, exponent):
+    # homogeneous of degree 1; Newton's slice of trace a has the anchor a I/d
     mats = _samples(seed, n, d)
     a = 10.0 ** exponent
-    assert _close(_solve("fixed-point", a * mats), a * _solve("fixed-point", mats))
+    assert _close(_solve(rule, a * mats, scale=a), a * _solve(rule, mats))
 
 
 @pytest.mark.parametrize("rule", RULES)
