@@ -252,24 +252,22 @@ def _ridge_to_pd(anchor, basis, ss):
 def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> BarycenterResult:
     """One loop for both step rules, evaluated at each iterate's transport prep.
 
-    Both start from R^2, R = sum_i w_i S_i^{1/2} from the gate's roots, or
-    from the weighted mean when one weight is positive ((S^{1/2})^2 is S only
-    up to roundoff).  Without a basis it runs the fixed-point map Q <- T Q T,
-    T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 + M
-    with the Hessian F = -sum_i w_i dT_i in M-coordinates; steps halve until
-    the iterate stays strictly positive and the variance passes the Armijo test.
+    Without a basis it runs the fixed-point map Q <- T Q T from the weighted
+    mean, T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 +
+    M (Q0 the anchor, the weighted mean by default) from Q0 + Pi_M(R^2 - Q0),
+    or Q0, with the Hessian F = -sum_i w_i dT_i in M-coordinates; steps halve
+    until the iterate stays strictly positive and the variance passes the
+    Armijo test.
     """
     weights, d = ss.weights, ss.dim
     rule = "fixed-point" if basis is None else "affine-newton"
     mean_trace = ss.mean_trace
-    if np.count_nonzero(weights) == 1:
-        q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
-    else:
-        root_mean = np.einsum("n,nij->ij", weights, ss.roots)
-        q = hermitian_part(root_mean @ root_mean)
+    q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
     if basis is not None:
         anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
-        q = hermitian_part(anchor.array + project_subspace(basis, q - anchor.array))
+        root_mean = np.einsum("n,nij->ij", weights, ss.roots)
+        start = q if np.count_nonzero(weights) == 1 else root_mean @ root_mean
+        q = hermitian_part(anchor.array + project_subspace(basis, start - anchor.array))
         if not _is_pd(np.linalg.eigvalsh(q)):
             if anchor.is_strictly_positive():
                 q = anchor.array.astype(ss.array.dtype)
@@ -335,13 +333,14 @@ def solve_barycenter(
     T the weighted mean of the transport maps T_Q^{S_i}; constrained ones run
     damped Newton steps whose iterates never leave A (with `standard_basis(d)`
     as the constraint, Newton on all of H).  The fixed point starts at the
-    squared root mean R^2 = (sum_i w_i S_i^{1/2})^2, the barycenter of
-    commuting samples; Newton at Q0 + Pi_M(R^2 - Q0) if that is strictly
-    positive, else at the anchor Q0 (by default R^2).  A set with one positive
-    weight starts at that sample, bitwise.  Both rules evaluate each iterate
-    through the sample set's transport prep, so estimators called at the
-    returned barycenter reuse the last one.  The exit certificate is the
-    first-order residual ||Pi_M(mean T - I)||_F.
+    weighted mean; from R^2 below it would save a prep only by stopping nearer
+    the tolerance.  Newton starts at Q0 + Pi_M(R^2 - Q0) if that is strictly
+    positive, else at the anchor Q0 (by default the weighted mean).  R^2 =
+    (sum_i w_i S_i^{1/2})^2 is the barycenter of commuting samples, or the
+    sample when one weight is positive ((S^{1/2})^2 is S only up to roundoff).
+    Both rules evaluate each iterate through the sample set's prep, so
+    estimators called at the returned barycenter reuse the last one.  The exit
+    certificate is the first-order residual ||Pi_M(mean T - I)||_F.
     """
     ss = as_sample_set(samples)
     cfg = config or SolverConfig()

@@ -54,9 +54,9 @@ def bw_distance_sq(q, s) -> float:
     if a.tobytes() == b.tobytes():
         return 0.0
     traces = _finite(float(_trace(a)) + float(_trace(b)), "tr Q + tr S")
-    # Q^{1/2} S Q^{1/2} is formed on the pair scaled by 4^-k to about unit
-    # trace, where it cannot overflow; a power of two scales without rounding.
-    k = math.frexp(traces)[1] // 2
+    # Q^{1/2} S Q^{1/2} is formed on the pair scaled exactly by 4^-k to trace
+    # below 2, where it cannot overflow; a pair of trace below 2 is as given.
+    k = max(0, math.frexp(traces)[1] // 2)
     root = first._func(_clipped_sqrt) * math.ldexp(1.0, -k)
     inner = np.linalg.eigvalsh(root @ (b * math.ldexp(1.0, -2 * k)) @ root)
     value = traces - 2.0 * math.ldexp(float(np.sum(np.sqrt(np.clip(inner, 0.0, None)))), 2 * k)

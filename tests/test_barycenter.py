@@ -172,14 +172,14 @@ class TestFrechetVariance:
 
 class TestUnconstrainedSolver:
     def test_commuting_oracle(self, monkeypatch):
-        # closed form: sqrt of barycenter eigenvalues = mean of sample sqrts,
-        # which is where the solver starts; its one prep certifies it
+        # closed form: sqrt of barycenter eigenvalues = mean of sample sqrts;
+        # the weighted mean commutes with the samples, so one step reaches it
         ss = SampleSet([np.diag([1.0, 4.0]), np.diag([9.0, 16.0])])
         shapes = count_decompositions(monkeypatch)
         result = solve_barycenter(ss)
-        assert [s for s in shapes if matrix_count([s]) > 1] == [(2, 2, 2)]
+        assert [s for s in shapes if matrix_count([s]) > 1] == [(2, 2, 2)] * 2
         assert np.allclose(result.barycenter.array, np.diag([4.0, 9.0]), atol=1e-10)
-        assert result.iterations == 0
+        assert result.iterations == 1
         assert result.residual <= 1e-10
         # characterization: mean transport map equals identity
         mean_t = sum(
@@ -187,14 +187,22 @@ class TestUnconstrainedSolver:
         ) / len(ss)
         assert np.allclose(mean_t, np.eye(2), atol=1e-9)
 
-    def test_commuting_draws_solve_at_iteration_0(self, monkeypatch):
-        # diagonal draws commute, so the squared root mean is the barycenter
-        ss = _draw_set(ExperimentConfig(d=3, u_mode="identity"), 50, np.random.default_rng(3))
+    @pytest.mark.parametrize("draw", ["diag", "identity-draws"])
+    def test_commuting_newton_solves_at_iteration_0(self, monkeypatch, draw):
+        # Newton on all of H starts at the squared root mean, the barycenter of
+        # commuting samples: its one prep certifies it
+        if draw == "diag":
+            ss = SampleSet([np.diag([1.0, 4.0]), np.diag([9.0, 16.0])])
+        else:
+            ss = _draw_set(ExperimentConfig(d=3, u_mode="identity"), 50,
+                           np.random.default_rng(3))
         shapes = count_decompositions(monkeypatch)
-        result = solve_barycenter(ss)
-        assert [s for s in shapes if matrix_count([s]) > 1] == [(50, 3, 3)]
+        result = solve_barycenter(ss, constraint=standard_basis(ss.dim))
+        assert [s for s in shapes if matrix_count([s]) > 1] == [ss.array.shape]
         assert result.iterations == 0
         assert result.residual <= 1e-10
+        if draw == "diag":
+            assert np.allclose(result.barycenter.array, np.diag([4.0, 9.0]), atol=1e-10)
 
     def test_single_sample_exact(self):
         rng = np.random.default_rng(2)
@@ -297,12 +305,8 @@ def _conjugated_fixed_point(stack, weights, tol=1e-10, max_iter=500):
     """The fixed-point map written through Q^{1/2} S_i Q^{1/2}: with R = sum_i
     w_i (Q^{1/2} S_i Q^{1/2})^{1/2}, mean T = Q^{-1/2} R Q^{-1/2} and the step
     is Q <- Q^{-1/2} R^2 Q^{-1/2}; eigenvalues at or below RANK_REL_TOL times
-    the largest count as zero.  It starts at the squared root mean (sum_i w_i
-    S_i^{1/2})^2, with the roots from its own eigh.  Returns (Q, iterations)."""
-    w, v = np.linalg.eigh(stack)
-    root_mean = np.einsum("n,nij->ij", weights,
-                          (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v.transpose(0, 2, 1)))
-    q = root_mean @ root_mean
+    the largest count as zero.  Returns (Q, iterations)."""
+    q = np.einsum("n,nij->ij", weights, stack)
     q = (q + q.conj().T) / 2
     eye = np.eye(q.shape[0])
     for it in range(max_iter + 1):
@@ -388,6 +392,22 @@ class TestConstrainedSolver:
         from bwbary import project_subspace
 
         assert np.linalg.norm(gap - project_subspace(basis, gap)) <= 1e-12
+
+    def test_unanchored_subspace_is_anchored_at_the_mean(self):
+        # without an anchor A = mean + M, not R^2 + M: the traceless solve keeps
+        # the weighted mean's trace, which is above tr R^2
+        rng = np.random.default_rng(18)
+        ss = SampleSet([rand_spd(rng, 3, 1.0, 5.0) for _ in range(6)])
+        mean = np.einsum("n,nij->ij", ss.weights, ss.array)
+        traceless = standard_basis(3, kind="traceless")
+        result = solve_barycenter(ss, constraint=SubspaceBasis(traceless.basis))
+        anchored = solve_barycenter(ss, constraint=SubspaceBasis(traceless.basis, anchor=mean))
+        root_mean = np.einsum("n,nij->ij", ss.weights, ss.roots)
+        assert np.trace(mean) - np.trace(root_mean @ root_mean) > 1e-3
+        assert abs(result.barycenter.trace - np.trace(mean)) <= 1e-12 * np.trace(mean)
+        assert result.residual <= 1e-10
+        q, q_ref = result.barycenter.array, anchored.barycenter.array
+        assert np.linalg.norm(q - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
 
     def test_projected_descent_unconstrained_agrees(self):
         rng = np.random.default_rng(16)

@@ -81,6 +81,13 @@ class TestDistance:
         value = bw_distance_sq(1e200 * np.eye(2), 2e200 * np.eye(2))
         assert value == pytest.approx((6.0 - 4.0 * np.sqrt(2.0)) * 1e200, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_traces_are_not_scaled(self):
+        # a pair of trace below 2 is formed as given, subnormal traces included
+        assert bw_distance_sq(1e-309 * np.eye(2), np.zeros((2, 2))) == pytest.approx(2e-309)
+        value = bw_distance_sq(1e-300 * np.eye(2), 2e-300 * np.eye(2))
+        assert value == pytest.approx((6.0 - 4.0 * np.sqrt(2.0)) * 1e-300, rel=1e-12)
+
     @pytest.mark.parametrize("q, s", [
         (1e308 * np.eye(2), np.eye(2)),
         (np.eye(2), 1e308 * np.eye(2)),
