@@ -48,12 +48,12 @@ VARIANCE_REL_SLACK = 1e-10
 class SampleSet:
     """An ordered collection of PSD matrices with normalized weights.
 
-    Roots S_i^{1/2} and strict-positivity flags come from the input gate's
-    eigh, or from a simulation's drawn spectra.  The memo of the last prep is
+    Roots S_i^{1/2} and the ascending spectra come from the input gate's eigh,
+    or from a simulation's drawn spectra.  The memo of the last prep is
     replaced whole, so threads sharing a set can at worst recompute a prep.
     """
 
-    __slots__ = ("array", "weights", "mode", "roots", "_pd", "_prep")
+    __slots__ = ("array", "weights", "mode", "roots", "_w", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
         if not isinstance(matrices, np.ndarray):
@@ -76,26 +76,31 @@ class SampleSet:
             total = float(w.sum())
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"weights sum to {total!r}, expected 1")
-        self._init(stack, w, mode, _spectral(eigs, vecs, _clipped_sqrt), _is_pd(eigs))
+        self._init(stack, w, mode, _spectral(eigs, vecs, _clipped_sqrt), eigs)
 
-    def _init(self, stack, weights, mode, roots, pd) -> SampleSet:
-        for a in (stack, weights, roots, pd):
+    def _init(self, stack, weights, mode, roots, spectra) -> SampleSet:
+        for a in (stack, weights, roots, spectra):
             a.setflags(write=False)
         self.array = stack
         self.weights = weights
         self.mode = mode
         self.roots = roots
-        self._pd = pd
+        self._w = spectra
         self._prep = None
         return self
+
+    @classmethod
+    def _trusted(cls, stack, mode, roots, spectra) -> SampleSet:
+        """A uniformly weighted set from a Hermitian stack whose roots and
+        ascending spectra are already known, without the gate."""
+        n = len(stack)
+        return cls.__new__(cls)._init(stack, np.full(n, 1.0 / n), mode, roots, spectra)
 
     def _take(self, idx) -> SampleSet:
         """The uniformly weighted resample self[idx], bitwise SampleSet(self.array[idx])
         without its gate: eigh works matrix by matrix, and a row is its own
         Hermitian part."""
-        n = len(idx)
-        return SampleSet.__new__(SampleSet)._init(self.array[idx], np.full(n, 1.0 / n), self.mode,
-                                                  self.roots[idx], self._pd[idx])
+        return SampleSet._trusted(self.array[idx], self.mode, self.roots[idx], self._w[idx])
 
     @property
     def dim(self) -> int:
@@ -109,7 +114,7 @@ class SampleSet:
 
     def has_strictly_positive(self) -> bool:
         """True when some sample with positive weight is strictly positive."""
-        return bool(np.any(self._pd & (self.weights > 0)))
+        return bool(np.any(_is_pd(self._w) & (self.weights > 0)))
 
     def transport_prep(self, q: np.ndarray) -> TransportPrep:
         """Maps T_Q^{S_i} and dT data at a validated base point Q, memoised
@@ -126,9 +131,9 @@ class SampleSet:
         return float(np.dot(self.weights, _trace(self.array)))
 
     def sq_distances(self, q: np.ndarray) -> np.ndarray:
-        """d^2(Q, S_i) = tr Q + tr S_i - 2 sum_a sqrt(lam_ia) >= 0 from the prep at Q."""
+        """d^2(Q, S_i) = tr Q + tr S_i - 2 sum_a r_ia >= 0 from the prep at Q."""
         d2 = _trace(q) + _trace(self.array)
-        return np.clip(d2 - 2.0 * np.sqrt(self.transport_prep(q).lam).sum(axis=1), 0.0, None)
+        return np.clip(d2 - 2.0 * self.transport_prep(q).r.sum(axis=1), 0.0, None)
 
 
 def as_sample_set(value) -> SampleSet:
@@ -199,16 +204,22 @@ def frechet_variance(q, samples) -> float:
     the prep at Q by the solver's formula: bitwise the result's variance at a
     returned barycenter, and no decomposition after an estimator at Q."""
     ss, qm = _at(samples, q, require_pd=False)
-    lam = ss.transport_prep(qm.array).lam
-    return max(_variance_at(qm.array, lam, ss.weights, ss.mean_trace), 0.0)
+    r = ss.transport_prep(qm.array).r
+    return max(_variance_at(qm.array, r, ss.weights, ss.mean_trace), 0.0)
 
 
 def residual(q, samples, basis: SubspaceBasis | None = None) -> float:
     """First-order residual ||Pi_M(sum_i w_i T_Q^{S_i} - I)||_F."""
     ss, qm = _at(samples, q, basis)
-    t = ss.transport_prep(qm.array).t
-    gap = np.einsum("n,nij->ij", ss.weights, t) - np.eye(ss.dim, dtype=t.dtype)
-    return float(np.linalg.norm(gap if basis is None else _coords(basis, gap)))
+    return float(np.linalg.norm(_mean_map(ss.transport_prep(qm.array), ss.weights, basis)[1]))
+
+
+def _mean_map(prep: TransportPrep, weights, basis: SubspaceBasis | None):
+    """Mean T = sum_i w_i T_Q^{S_i} from a prep, and the first-order gap
+    Pi_M(mean T - I): its M-coordinates, or the matrix without a basis."""
+    mean_t = np.einsum("n,nij->ij", weights, prep.t)
+    gap = mean_t - np.eye(len(mean_t), dtype=mean_t.dtype)
+    return mean_t, gap if basis is None else _coords(basis, gap)
 
 
 def _append_variance(variances, variance, mean_trace, rule, it):
@@ -218,10 +229,9 @@ def _append_variance(variances, variance, mean_trace, rule, it):
     variances.append(variance)
 
 
-def _variance_at(q, lam, weights, mean_trace: float) -> float:
-    """Fréchet variance at Q from the prep spectrum lam_i = eig(S_i^{1/2} Q S_i^{1/2})."""
-    root_sums = np.sqrt(lam).sum(axis=1)
-    variance = float(_trace(q)) + mean_trace - 2.0 * float(np.dot(weights, root_sums))
+def _variance_at(q, r, weights, mean_trace: float) -> float:
+    """Fréchet variance at Q from the prep roots r_i = eig(S_i^{1/2} Q S_i^{1/2})^{1/2}."""
+    variance = float(_trace(q)) + mean_trace - 2.0 * float(np.dot(weights, r.sum(axis=1)))
     return _finite(variance, "the Fréchet variance")
 
 
@@ -259,14 +269,13 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
     until the iterate stays strictly positive and the variance passes the
     Armijo test.
     """
-    weights, d = ss.weights, ss.dim
     rule = "fixed-point" if basis is None else "affine-newton"
     mean_trace = ss.mean_trace
-    q = hermitian_part(np.einsum("n,nij->ij", weights, ss.array))
+    q = hermitian_part(np.einsum("n,nij->ij", ss.weights, ss.array))
     if basis is not None:
         anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
-        root_mean = np.einsum("n,nij->ij", weights, ss.roots)
-        start = q if np.count_nonzero(weights) == 1 else root_mean @ root_mean
+        root_mean = np.einsum("n,nij->ij", ss.weights, ss.roots)
+        start = q if np.count_nonzero(ss.weights) == 1 else root_mean @ root_mean
         q = hermitian_part(anchor.array + project_subspace(basis, start - anchor.array))
         if not _is_pd(np.linalg.eigvalsh(q)):
             if anchor.is_strictly_positive():
@@ -279,11 +288,9 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
         if basis is None and not _is_pd(np.linalg.eigvalsh(q)):
             raise PositivityLossError("fixed-point iterate lost strict positivity")
         prep = ss.transport_prep(q)  # a hit when a Newton step was accepted
-        mean_t = np.einsum("n,nij->ij", weights, prep.t)
-        gap = mean_t - np.eye(d, dtype=mean_t.dtype)
-        coords = gap if basis is None else _coords(basis, gap)
+        mean_t, coords = _mean_map(prep, ss.weights, basis)
         res = float(np.linalg.norm(coords))
-        variance = _variance_at(q, prep.lam, weights, mean_trace)
+        variance = _variance_at(q, prep.r, ss.weights, mean_trace)
         history.append(res)
         _append_variance(variances, variance, mean_trace, rule, it)
         if res <= cfg.tol_residual:
@@ -291,7 +298,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
                                     max(variance, 0.0), history, variances)
         if it == cfg.max_iter:
             break
-        hess = None if basis is None else _f_hat_from_prep(prep, weights, basis.basis)
+        hess = None if basis is None else _f_hat_from_prep(prep, ss.weights, basis.basis)
         del prep  # only one prep of the sample set is alive at a time
         if basis is None:
             q = hermitian_part(mean_t @ q @ mean_t)
@@ -311,8 +318,8 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
         for _ in range(MAX_STEP_HALVINGS):
             candidate = hermitian_part(q + step * direction)
             if _is_pd(np.linalg.eigvalsh(candidate)):
-                lam = ss.transport_prep(candidate).lam
-                if _variance_at(candidate, lam, weights, mean_trace) <= bound - step * slope:
+                r = ss.transport_prep(candidate).r
+                if _variance_at(candidate, r, ss.weights, mean_trace) <= bound - step * slope:
                     break
             step /= 2.0
         else:

@@ -4,7 +4,7 @@ Validation errors (bad inputs, malformed files) map to CLI exit code 1,
 numerical errors (non-convergence, degenerate covariances) to exit code 2.
 """
 
-import math
+import numpy as np
 
 
 class BwError(Exception):
@@ -62,10 +62,11 @@ class NumericalError(BwError):
     """A numerical procedure failed."""
 
 
-def _finite(value: float, what: str) -> float:
-    """value, computed in Python floats from finite inputs; inf means it overflowed."""
-    if not math.isfinite(value):
-        raise NumericalError(f"{what} overflows")
+def _finite(value, what: str):
+    """value, a float or an array computed from finite inputs with overflow
+    left silent; an inf in it means it overflowed."""
+    if not np.isfinite(value).all():
+        raise NumericalError(f"{what} overflows the float range")
     return value
 
 

@@ -18,12 +18,10 @@ from .hermitian import (
     SubspaceBasis,
     _adjoint,
     _clipped_sqrt,
-    _pinv_sqrt,
     _spectral,
     _trace,
     as_psd,
     hermitian_part,
-    vectorize,
 )
 
 logger = logging.getLogger(__name__)
@@ -54,12 +52,10 @@ def bw_distance_sq(q, s) -> float:
     if a.tobytes() == b.tobytes():
         return 0.0
     traces = _finite(float(_trace(a)) + float(_trace(b)), "tr Q + tr S")
-    # Q^{1/2} S Q^{1/2} is formed on the pair scaled exactly by 4^-k to trace
-    # below 2, where it cannot overflow; a pair of trace below 2 is as given.
-    k = max(0, math.frexp(traces)[1] // 2)
-    root = first._func(_clipped_sqrt) * math.ldexp(1.0, -k)
+    root = first._func(_clipped_sqrt)
+    k = _scale_exponent(root, b)
     inner = np.linalg.eigvalsh(root @ (b * math.ldexp(1.0, -2 * k)) @ root)
-    value = traces - 2.0 * math.ldexp(float(np.sum(np.sqrt(np.clip(inner, 0.0, None)))), 2 * k)
+    value = traces - 2.0 * math.ldexp(float(np.sum(np.sqrt(np.clip(inner, 0.0, None)))), k)
     if value < 0.0:
         if value < -1e-10 * traces:
             raise NumericalError(f"squared distance came out negative: {value:.3e}")
@@ -78,8 +74,9 @@ class TransportMap:
     the differential dT of Q -> T_Q^S at Q, both read from one transport prep.
 
     dT is self-adjoint and negative semi-definite; `apply` evaluates it.
-    `eigenvalues` is the ascending spectrum of S^{1/2} Q S^{1/2}.  Instances
-    are immutable and can be shared between threads.
+    `eigenvalues` is the ascending spectrum of S^{1/2} Q S^{1/2}, the squared
+    roots of the prep; one beyond the float range is a NumericalError.
+    Instances are immutable and can be shared between threads.
     """
 
     matrix: PsdMatrix
@@ -89,7 +86,8 @@ class TransportMap:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._prep.lam[0]
+        with np.errstate(over="ignore"):
+            return _finite(self._prep.r[0] ** 2, "the spectrum of S^{1/2} Q S^{1/2}")
 
     def push_forward_error(self) -> float:
         t = self.matrix.array
@@ -124,10 +122,9 @@ def bw_gradient(q, s) -> np.ndarray:
 
 def operator_matrix(t: TransportMap, basis: SubspaceBasis) -> OperatorOnM:
     """Materialize dT of a transport map on M as the matrix <B_k, dT(B_l)>."""
-    mat = np.empty((basis.dim_m, basis.dim_m))
-    for l in range(basis.dim_m):
-        mat[:, l] = vectorize(basis, t.apply(basis.basis[l]))
-    return OperatorOnM(basis, mat)
+    if basis.dim_ambient != t.source.dim:
+        raise DimensionMismatchError("basis ambient dimension does not match the map")
+    return OperatorOnM(basis, -_f_hat_from_prep(t._prep, np.ones(1), basis.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -139,31 +136,42 @@ def operator_matrix(t: TransportMap, basis: SubspaceBasis) -> OperatorOnM:
 
 class TransportPrep(NamedTuple):
     """Maps t = T_Q^{S_i} and the data of dT_i(X) = -G (w2 * G^* X G) G^*, with
-    G = S_i^{1/2} V from S_i^{1/2} Q S_i^{1/2} = V diag(lam) V^*, lam ascending."""
+    G = S_i^{1/2} V from S_i^{1/2} Q S_i^{1/2} = V diag(r^2) V^*, r ascending."""
 
     t: np.ndarray
     g: np.ndarray
     w2: np.ndarray
-    lam: np.ndarray
+    r: np.ndarray
+
+
+def _scale_exponent(root: np.ndarray, mat: np.ndarray) -> int:
+    """The k >= 0 that keeps root (mat 4^-k) root in the float range, for PSD
+    matrices or stacks: 0 unless d^3 max|root|^2 max|mat| could pass 2^1023,
+    read off the diagonals, where a PSD matrix has its largest entries."""
+    e = [math.frexp(float(np.diagonal(a, axis1=-2, axis2=-1).real.max()))[1] for a in (root, mat)]
+    return max(0, 3 * mat.shape[-1].bit_length() + 2 * e[0] + e[1] - 1022) // 2
 
 
 def _transport_stack(q: np.ndarray, roots: np.ndarray) -> TransportPrep:
     """Transport maps and dT data from one eigh per target, given S_i^{1/2}.
 
-    Eigenvalues at or below RANK_REL_TOL times the largest are set to zero, so
-    sqrt(lam) carries no roundoff from a singular S_i; the maps take the
-    pseudo-inverse branch and w2 = 1 / (r_a r_b (r_a + r_b))
-    vanishes on their pairs.
+    The prep keeps r = sqrt(lam), lam = eig(S_i^{1/2} Q S_i^{1/2}), never lam,
+    which can pass the float range for finite maps: the product is formed on
+    Q 4^-k (`_scale_exponent`) and r = 2^k sqrt(lam').  Eigenvalues at or below
+    RANK_REL_TOL times the largest are set to zero, so r carries no roundoff
+    from a singular S_i; the maps take the pseudo-inverse branch and
+    w2 = 1 / (r_a r_b (r_a + r_b)) vanishes on their pairs.
     """
-    lam, g = np.linalg.eigh(roots @ q @ roots)
+    k = _scale_exponent(roots, q)
+    lam, g = np.linalg.eigh(roots @ (q * math.ldexp(1.0, -2 * k)) @ roots)
     lam = np.clip(lam, 0.0, None)
     lam[lam <= RANK_REL_TOL * lam[:, -1:]] = 0.0
+    r = np.sqrt(lam) * math.ldexp(1.0, k)
     g = roots @ g  # G = S^{1/2} V, rebound so V is freed early
-    inv = _pinv_sqrt(lam)
-    sq = np.sqrt(lam)
+    inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
     w2 = inv[:, :, None] * inv[:, None, :]
-    np.divide(w2, sq[:, :, None] + sq[:, None, :], out=w2, where=w2 > 0.0)
-    prep = TransportPrep(hermitian_part(_spectral(lam, g, _pinv_sqrt)), g, w2, lam)
+    np.divide(w2, r[:, :, None] + r[:, None, :], out=w2, where=w2 > 0.0)
+    prep = TransportPrep(hermitian_part(_spectral(inv, g, lambda w: w)), g, w2, r)
     for arr in prep:
         arr.setflags(write=False)
     return prep

@@ -8,14 +8,15 @@ orthonormal bases / projections for subspaces of Hermitian matrices.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
     NotHermitianError,
     NotPsdError,
-    NumericalError,
     SingularMatrixError,
     ValidationError,
+    _finite,
 )
 
 REAL = "real"
@@ -49,10 +50,7 @@ def _trace(a) -> np.ndarray:
     """Re tr of a matrix or of every matrix in a stack.  The trace of a finite
     matrix can pass the float range; that is a NumericalError, not a warning."""
     with np.errstate(over="ignore"):
-        tr = np.real(np.trace(a, axis1=-2, axis2=-1))
-    if not np.isfinite(tr).all():
-        raise NumericalError("a matrix trace overflows the float range")
-    return tr
+        return _finite(np.real(np.trace(a, axis1=-2, axis2=-1)), "a matrix trace")
 
 
 def _spectral(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
@@ -66,12 +64,6 @@ def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
 
 def _inv_sqrt(w: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(w)
-
-
-def _pinv_sqrt(w: np.ndarray) -> np.ndarray:
-    """w^{-1/2} above RANK_REL_TOL times the last (largest) value of each row, else 0."""
-    keep = w > RANK_REL_TOL * w[..., -1:]
-    return np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
 
 
 def _parts(stack: np.ndarray) -> np.ndarray:
@@ -302,43 +294,6 @@ def project_subspace(basis: SubspaceBasis, x) -> np.ndarray:
     return devectorize(basis, vectorize(basis, x))
 
 
-def _diag_embed(vecs: np.ndarray, d: int, dtype) -> np.ndarray:
-    out = np.zeros((vecs.shape[0], d, d), dtype=dtype)
-    idx = np.arange(d)
-    out[:, idx, idx] = vecs
-    return out
-
-
-def _offdiag_elements(d: int, mode: str):
-    dtype = np.complex128 if mode == COMPLEX else np.float64
-    sym = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            b = np.zeros((d, d), dtype=dtype)
-            b[i, j] = b[j, i] = 1.0 / np.sqrt(2.0)
-            sym.append(b)
-    if mode == REAL:
-        return sym
-    anti = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            b = np.zeros((d, d), dtype=dtype)
-            b[i, j] = 1.0j / np.sqrt(2.0)
-            b[j, i] = -1.0j / np.sqrt(2.0)
-            anti.append(b)
-    return sym + anti
-
-
-def _helmert_rows(d: int) -> np.ndarray:
-    """Orthonormal basis of {v in R^d : sum v = 0}, d-1 rows."""
-    rows = np.zeros((d - 1, d))
-    for k in range(1, d):
-        rows[k - 1, :k] = 1.0
-        rows[k - 1, k] = -k
-        rows[k - 1] /= np.sqrt(k * (k + 1))
-    return rows
-
-
 def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasis:
     """Canonical orthonormal bases of Hermitian matrix subspaces.
 
@@ -355,10 +310,18 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
     if kind == "traceless" and d < 2:
         raise ValidationError("traceless basis requires d >= 2")
     dtype = np.complex128 if mode == COMPLEX else np.float64
-    diag = _diag_embed(np.eye(d) if kind == "full" else _helmert_rows(d), d, dtype)
+    diagonals = np.eye(d) if kind == "full" else scipy.linalg.helmert(d)
+    elements = [np.diag(row).astype(dtype) for row in diagonals]
+    # symmetric pairs, then (complex mode) antisymmetric ones, each in row-major order
+    pairs = [(1.0, 1.0)] if mode == REAL else [(1.0, 1.0), (1.0j, -1.0j)]
+    for upper, lower in pairs:
+        for i, j in zip(*np.triu_indices(d, 1)):
+            b = np.zeros((d, d), dtype=dtype)
+            b[i, j] = upper / np.sqrt(2.0)
+            b[j, i] = lower / np.sqrt(2.0)
+            elements.append(b)
     anchor = PsdMatrix(np.eye(d, dtype=dtype) / d, mode=mode) if kind == "traceless" else None
-    return SubspaceBasis(np.stack(list(diag) + _offdiag_elements(d, mode)), mode=mode,
-                         anchor=anchor)
+    return SubspaceBasis(np.stack(elements), mode=mode, anchor=anchor)
 
 
 class OperatorOnM:

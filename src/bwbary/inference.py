@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barycenter import (SolverConfig, _as_float, _at, _check_count,
+from .barycenter import (SolverConfig, _as_float, _at, _check_count, _mean_map,
                          frechet_variance, solve_barycenter)
 from .exceptions import DegenerateCovarianceError, DimensionMismatchError, ValidationError, _finite
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
@@ -29,7 +29,6 @@ from .hermitian import (
     as_psd,
     devectorize,
     hermitian_part,
-    project_subspace,
     standard_basis,
     vectorize,
 )
@@ -166,14 +165,12 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     (population-form) variance of the squared distances d^2(Q_ref, S_i).
     """
     ss, qr = _reference(samples, q_ref, v_ref)
-    n = len(ss)
     result = solve_barycenter(ss, config=config)
-    v_n = result.variance
-    stat = float(np.sqrt(n) * (v_n - v_ref))
+    stat = float(np.sqrt(len(ss)) * (result.variance - v_ref))
     d2 = ss.sq_distances(qr.array)
     mean = float(np.dot(ss.weights, d2))
     var_hat = float(np.dot(ss.weights, (d2 - mean) ** 2))
-    return v_n, stat, var_hat
+    return result.variance, stat, var_hat
 
 
 def _f_prime_spectrum(ss, q, basis: SubspaceBasis) -> np.ndarray:
@@ -199,9 +196,7 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     and F' read the prep at Q*, which a later `frechet_variance` at Q* reuses.
     """
     ss, qm = _at(samples, q_star, basis)
-    t = ss.transport_prep(qm.array).t
-    mean_t = np.einsum("n,nij->ij", ss.weights, t)
-    projected = project_subspace(basis, mean_t - np.eye(ss.dim, dtype=t.dtype))
+    projected = devectorize(basis, _mean_map(ss.transport_prep(qm.array), ss.weights, basis)[1])
     q_root = qm._func(_clipped_sqrt)
     numerator = float(np.linalg.norm(q_root @ projected @ q_root))
     lam = _f_prime_spectrum(ss, qm, basis)
@@ -238,10 +233,10 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     sigma_star = estimate_sigma_hat(ss, qs, basis).matrix
     sigma_n = estimate_sigma_hat(ss, qn, basis).matrix
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(sigma_n - sigma_star))))
-    sample_norms = np.abs(np.linalg.eigvalsh(ss.array)).max(axis=1)
     lam = qs.eigenvalues()
     kappa = float(lam[0] / lam[-1])
-    beta = kappa * np.sqrt(float(np.dot(ss.weights, sample_norms)) / float(lam[0]))
+    # ||S_i|| = lambda_max(S_i), the last of the gate's ascending spectrum
+    beta = kappa * np.sqrt(float(np.dot(ss.weights, ss._w[:, -1])) / float(lam[0]))
     beta *= float(np.linalg.norm(gap))
     # on a full orthonormal basis, tr Sigma = mean ||T_i - I||_F^2
     rhs = beta * (2.0 * np.sqrt(np.trace(sigma_star)) + beta)

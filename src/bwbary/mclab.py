@@ -21,7 +21,7 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import bw_distance
-from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _is_pd, _spectral,
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral,
                         hermitian_part, standard_basis)
 from .inference import _xi_root, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
@@ -181,16 +181,14 @@ def random_spd(d: int, eig_law, rng: np.random.Generator,
 
 def _draw_set(config: ExperimentConfig, count: int, rng: np.random.Generator) -> SampleSet:
     """count draws of the configured law as a uniformly weighted SampleSet whose
-    roots and positivity come from the drawn spectra: no gate and no eigh.  A
+    roots and spectra come from the drawn ones: no gate and no eigh.  A
     drawn matrix is exactly symmetric, so its stack is bitwise the gate's."""
     stack, lam, u = _random_spd_draws(count, config.d, config.eig_law, rng, config.u_mode)
     if config.constraint == TRACE_ONE:
         traces = np.trace(stack, axis1=1, axis2=2)
         stack = stack / traces[:, None, None]
         lam = lam / traces[:, None]
-    return SampleSet.__new__(SampleSet)._init(stack, np.full(count, 1.0 / count), REAL,
-                                              _spectral(lam, u, np.sqrt),
-                                              _is_pd(np.sort(lam, axis=1)))
+    return SampleSet._trusted(stack, REAL, _spectral(lam, u, np.sqrt), np.sort(lam, axis=1))
 
 
 def _experiment_basis(config: ExperimentConfig) -> SubspaceBasis:

@@ -144,6 +144,16 @@ class TestFrechetVariance:
         with pytest.raises(NumericalError, match="overflows"):
             frechet_variance(q, samples)
 
+    @pytest.mark.filterwarnings("error")
+    def test_prep_does_not_overflow_below_the_float_range(self):
+        # S^{1/2} Q S^{1/2} would be 2e400 in the data's units; V and the
+        # barycenter are finite
+        assert frechet_variance(1e200 * np.eye(2), [2e200 * np.eye(2)]) == pytest.approx(
+            (6.0 - 4.0 * np.sqrt(2.0)) * 1e200, rel=1e-12)
+        result = solve_barycenter(SampleSet([1e200 * np.eye(2), 2e200 * np.eye(2)]))
+        expected = ((1.0 + np.sqrt(2.0)) / 2.0) ** 2 * 1e200
+        assert np.allclose(result.barycenter.array, expected * np.eye(2), rtol=1e-12, atol=0.0)
+
     def test_single_sample_matches_distance(self):
         assert frechet_variance(
             np.diag([1.0, 4.0]), SampleSet([np.diag([4.0, 9.0])])

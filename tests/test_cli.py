@@ -389,6 +389,15 @@ class TestNonFinite:
         assert (code, err) == (0, "")
         assert json.loads(out)["d_bw_sq"] == bw_distance_sq(1e200 * np.eye(2), 2e200 * np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_barycenter_is_exit_0(self, tmp_path, capsys):
+        # the solver's prep would overflow in the data's units; the result does not
+        save_bundle(SampleSet([1e200 * np.eye(2), 2e200 * np.eye(2)]), tmp_path / "big.mat")
+        code, out, err = run_cli(capsys, "barycenter", tmp_path / "big.mat",
+                                 "--out", tmp_path / "b.mat")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["trace"] == pytest.approx((1.0 + np.sqrt(2.0)) ** 2 / 2 * 1e200)
+
     def test_infinite_tolerance_is_exit_1(self, workdir, capsys):
         out_path = workdir / "b.mat"
         self._fails(capsys, 1, "barycenter", workdir / "rich.mat", "--tol", "inf",

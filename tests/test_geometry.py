@@ -9,10 +9,12 @@ from bwbary import (
     bw_distance,
     bw_distance_sq,
     bw_gradient,
+    frechet_variance,
     operator_matrix,
     sqrt_psd,
     standard_basis,
     transport_map,
+    vectorize,
 )
 from bwbary.hermitian import frobenius_inner
 
@@ -82,8 +84,19 @@ class TestDistance:
         assert value == pytest.approx((6.0 - 4.0 * np.sqrt(2.0)) * 1e200, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_distance_and_prep_share_the_scaling(self, scale):
+        # d^2 and V at one sample are the same quantity, formed by
+        # bw_distance_sq and by the transport prep; both stay homogeneous
+        rng = np.random.default_rng(31)
+        q, s = rand_spd(rng, 3), rand_spd(rng, 3)
+        expected = scale * bw_distance_sq(q, s)
+        assert bw_distance_sq(scale * q, scale * s) == pytest.approx(expected, rel=1e-10)
+        assert frechet_variance(scale * q, [scale * s]) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
     def test_tiny_traces_are_not_scaled(self):
-        # a pair of trace below 2 is formed as given, subnormal traces included
+        # a pair far below the float range is formed as given, subnormal traces included
         assert bw_distance_sq(1e-309 * np.eye(2), np.zeros((2, 2))) == pytest.approx(2e-309)
         value = bw_distance_sq(1e-300 * np.eye(2), 2e-300 * np.eye(2))
         assert value == pytest.approx((6.0 - 4.0 * np.sqrt(2.0)) * 1e-300, rel=1e-12)
@@ -179,6 +192,16 @@ class TestTransportMap:
             assert mixed.push_forward_error() <= 1e-10
             assert np.allclose(mixed.apply(x), oracle.apply(x), atol=1e-12)
             assert np.allclose(bw_gradient(q, s), np.eye(3) - oracle.matrix.array, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_spectrum_beyond_the_float_range_is_numerical_error(self):
+        # the prep keeps r = sqrt(lam): T is finite where lam = 2e400 is not
+        t = transport_map(1e200 * np.eye(2), 2e200 * np.eye(2))
+        assert np.allclose(t.matrix.array, np.sqrt(2.0) * np.eye(2), rtol=1e-14, atol=0.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            t.eigenvalues
+        lam = transport_map(1e100 * np.eye(2), 2e100 * np.eye(2)).eigenvalues
+        assert np.allclose(lam, [2e200, 2e200], rtol=1e-14, atol=0.0)
 
     def test_map_and_differential_from_one_prep(self, monkeypatch):
         # the pair's gate decompositions are kept: T decomposes the prep and
@@ -370,6 +393,21 @@ class TestOperatorMatrix:
         dt = transport_map(q, q)
         mat = -rescaled_operator(dt, basis)
         assert np.linalg.eigvalsh(mat)[0] == pytest.approx(0.25, rel=1e-10)
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_matches_the_applied_differential(self, complex_mode):
+        # the quadratic-form kernel against dT applied column by column
+        rng = np.random.default_rng(15)
+        mode = "complex" if complex_mode else "real"
+        for d in (2, 3, 4):
+            q, s = (rand_spd(rng, d, complex_mode=complex_mode) for _ in range(2))
+            t = transport_map(q, s)
+            basis = standard_basis(d, mode=mode)
+            cols = [vectorize(basis, t.apply(b)) for b in basis.basis]
+            assert np.allclose(operator_matrix(t, basis).matrix, np.stack(cols, axis=1),
+                               rtol=0, atol=1e-12)
+        with pytest.raises(DimensionMismatchError):
+            operator_matrix(t, standard_basis(d + 1, mode=mode))
 
     def test_traceless_dimension(self):
         basis = standard_basis(2, kind="traceless")

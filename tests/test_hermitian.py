@@ -16,7 +16,7 @@ from bwbary import (
     standard_basis,
     vectorize,
 )
-from bwbary.hermitian import (OperatorOnM, _clipped_sqrt, _inv_sqrt, _pinv_sqrt, _spectral,
+from bwbary.hermitian import (OperatorOnM, _clipped_sqrt, _inv_sqrt, _spectral,
                               frobenius_inner, hermitian_part)
 
 from helpers import rand_hermitian, rand_psd_singular, rand_spd, rand_unitary
@@ -48,8 +48,6 @@ class TestGateDecomposition:
             root = _reference_root(m.array, _clipped_sqrt)
             assert np.array_equal(m._func(_clipped_sqrt), root)
             assert np.array_equal(sqrt_psd(m).array, hermitian_part(root))
-            pinv = _reference_root(m.array, lambda w: _pinv_sqrt(np.clip(w, 0.0, None)))
-            assert np.array_equal(hermitian_part(m._func(_pinv_sqrt)), hermitian_part(pinv))
             assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.array)[0][::-1])
             if kind != "singular":
                 assert np.array_equal(m._func(_inv_sqrt), _reference_root(m.array, _inv_sqrt))
@@ -161,30 +159,42 @@ class TestSqrt:
             sqrt_psd(np.diag([1.0, -1.0]))
 
 
-def _pinv_root(a):
-    """(A^{1/2})^+ through the transport maps' kernel, on A's own eigh."""
-    return _spectral(*np.linalg.eigh(a), _pinv_sqrt)
-
-
-class TestPinvSqrt:
-    def test_singular_diagonal(self):
-        assert np.allclose(_pinv_root(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_identity(self):
-        assert np.allclose(_pinv_root(np.eye(3)), np.eye(3))
-
-    def test_full_rank_diagonal(self):
-        assert np.allclose(_pinv_root(np.diag([4.0, 9.0])), np.diag([0.5, 1 / 3]))
-
-    def test_pseudo_inverse_property(self):
-        rng = np.random.default_rng(5)
-        a = rand_spd(rng, 4)
-        p = _pinv_root(a)
-        root = sqrt_psd(a).array
-        assert np.allclose(p @ root, np.eye(4), atol=1e-10)
+def _literal_basis(d, mode, kind):
+    """The documented element order, written out: the diagonal block (E_kk, or
+    the zero-sum rows (e_1 + ... + e_k - k e_{k+1}) / sqrt(k (k + 1))), then
+    (E_ij + E_ji) / sqrt 2 for i < j in row-major order, then in complex mode
+    (i E_ij - i E_ji) / sqrt 2 in the same order."""
+    dtype = complex if mode == "complex" else float
+    if kind == "full":
+        diagonals = [[1.0 if a == k else 0.0 for a in range(d)] for k in range(d)]
+    else:
+        diagonals = [[(1.0 if a < k else -k if a == k else 0.0) / np.sqrt(k * (k + 1))
+                      for a in range(d)] for k in range(1, d)]
+    elements = [np.diag(row).astype(dtype) for row in diagonals]
+    for unit in ([1.0] if mode == "real" else [1.0, 1.0j]):
+        for i in range(d):
+            for j in range(i + 1, d):
+                b = np.zeros((d, d), dtype=dtype)
+                b[i, j] = unit / np.sqrt(2.0)
+                b[j, i] = np.conjugate(unit) / np.sqrt(2.0)
+                elements.append(b)
+    return np.stack(elements)
 
 
 class TestStandardBasis:
+    @pytest.mark.parametrize("d, mode, kind", [
+        (d, mode, kind) for d in range(1, 6) for mode in ("real", "complex")
+        for kind in ("full", "traceless") if d > 1 or kind == "full"])
+    def test_elements_and_order_are_pinned(self, d, mode, kind):
+        # studentized coordinates are reported in this order
+        basis = standard_basis(d, mode, kind)
+        assert basis.mode == mode
+        assert np.array_equal(basis.basis, _literal_basis(d, mode, kind))
+        if kind == "traceless":
+            assert np.array_equal(basis.anchor.array, np.eye(d) / d)
+        else:
+            assert basis.anchor is None
+
     def test_counts(self):
         assert standard_basis(2, "real", "full").dim_m == 3
         assert standard_basis(2, "complex", "full").dim_m == 4

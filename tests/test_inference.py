@@ -348,6 +348,17 @@ class TestSharedPrep:
         estimate_f_hat(ss, q_n, basis)
         assert matrix_count(shapes) <= 3 * n + 10
 
+    def test_perturbation_bound_decomposes_only_its_two_preps(self, monkeypatch):
+        # ||S_i|| is read from the gate's spectrum; the only stacks decomposed
+        # are the Sigma-hat preps at Q* and Q_n
+        n = 200
+        ss = SampleSet(_random_spd_draws(n, 3, (18.0, 22.0), np.random.default_rng(42))[0])
+        q_star = 20.0 * np.eye(3)
+        q_n = q_star + np.diag([0.1, -0.2, 0.05])
+        shapes = count_decompositions(monkeypatch)
+        sigma_perturbation_bound(ss, q_star, q_n)
+        assert [shape for shape in shapes if matrix_count([shape]) > 1] == [(n, 3, 3)] * 2
+
     def test_infer_decomposition_count(self, monkeypatch, tmp_path, capsys):
         # the bundle's gate, whose eigh gives the roots, one prep at Q* that eta
         # and V share, and three solver evaluations, the last of which Sigma-hat
@@ -398,6 +409,17 @@ class TestXiHat:
         assert f.matrix[0, 0] == pytest.approx(fd, rel=1e-8)
         xi = estimate_xi_hat(sigma, f)
         assert xi.matrix[0, 0] == pytest.approx(0.01 / fd ** 2, rel=1e-8)
+
+    def test_ill_conditioned_f_passes_the_symmetry_gate(self):
+        # with cond(F) = 1e4 and Sigma along F's top direction, the product
+        # F^{-1} Sigma F^{-1} is asymmetric at roundoff by about 5e-10 of its
+        # largest entry, past OperatorOnM's 1e-10 gate unless symmetrized first
+        basis = standard_basis(4)
+        v = rand_orthogonal(np.random.default_rng(0), basis.dim_m)
+        top = np.outer(v[:, -1], v[:, -1])
+        f = OperatorOnM(basis, (v * np.logspace(0, 4, basis.dim_m)) @ v.T)
+        xi = estimate_xi_hat(OperatorOnM(basis, top), f).matrix
+        assert np.allclose(xi, 1e-8 * top, rtol=0, atol=1e-14)
 
     def test_singular_f_rejected(self):
         basis = standard_basis(2)

@@ -13,8 +13,17 @@ from bwbary import (
     SubspaceBasis,
     ValidationError,
     bw_distance,
+    bw_distance_sq,
+    estimate_f_hat,
+    estimate_sigma_hat,
+    estimate_xi_hat,
+    eta_n_diagnostic,
+    frechet_variance,
+    residual,
     solve_barycenter,
     standard_basis,
+    studentized_statistic,
+    transport_map,
 )
 
 from helpers import rand_orthogonal, rand_psd_singular, rand_spd, rand_unitary
@@ -59,6 +68,58 @@ def test_scale_equivariance(rule, seed, n, d, exponent):
     mats = _samples(seed, n, d)
     a = 10.0 ** exponent
     assert _close(_solve(rule, a * mats, scale=a), a * _solve(rule, mats))
+
+
+def _homogeneous(degree, quantities, seed, d, exponent):
+    """Each quantity of (samples, Q, Q') scales by a^degree when all three are
+    scaled by a = 10^exponent.  Twelve samples exceed dim M for d <= 4, so
+    Sigma-hat and Xi-hat are definite."""
+    rng = np.random.default_rng(seed)
+    mats = _samples(seed, 12, d)
+    q, q2 = (rand_spd(rng, d, 0.2, 5.0) / d for _ in range(2))
+    a = 10.0 ** exponent
+    base = quantities(SampleSet(mats), q, q2)
+    scaled = quantities(SampleSet(a * mats), a * q, a * q2)
+    for got, want in zip(scaled, base):
+        assert _close(np.asarray(got), a ** degree * np.asarray(want))
+
+
+def _xi(ss, q):
+    basis = standard_basis(ss.dim)
+    return estimate_xi_hat(estimate_sigma_hat(ss, q, basis), estimate_f_hat(ss, q, basis))
+
+
+@FEW
+@given(seed=seeds, d=dims, exponent=st.integers(-12, 12))
+def test_distances_and_variance_have_degree_one(seed, d, exponent):
+    _homogeneous(1, lambda ss, q, q2: [[bw_distance_sq(q, s) for s in ss.array],
+                                       ss.sq_distances(q), frechet_variance(q, ss)],
+                 seed, d, exponent)
+
+
+@FEW
+@given(seed=seeds, d=dims, exponent=st.integers(-12, 12))
+def test_maps_and_studentized_quantities_have_degree_zero(seed, d, exponent):
+    def quantities(ss, q, q2):
+        basis = standard_basis(ss.dim)
+        return [[transport_map(q, s).matrix.array for s in ss.array],
+                estimate_sigma_hat(ss, q, basis).matrix, residual(q, ss),
+                eta_n_diagnostic(ss, q, basis)[0],
+                studentized_statistic(q2, q, _xi(ss, q), basis, len(ss))]
+    _homogeneous(0, quantities, seed, d, exponent)
+
+
+@FEW
+@given(seed=seeds, d=dims, exponent=st.integers(-12, 12))
+def test_f_hat_has_degree_minus_one(seed, d, exponent):
+    _homogeneous(-1, lambda ss, q, q2: [estimate_f_hat(ss, q, standard_basis(ss.dim)).matrix],
+                 seed, d, exponent)
+
+
+@FEW
+@given(seed=seeds, d=dims, exponent=st.integers(-12, 12))
+def test_xi_hat_has_degree_two(seed, d, exponent):
+    _homogeneous(2, lambda ss, q, q2: [_xi(ss, q).matrix], seed, d, exponent)
 
 
 @pytest.mark.parametrize("rule", RULES)
