@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,8 +183,6 @@ class BarycenterResult:
     iterations: int
     residual: float
     variance: float
-    residual_history: list = field(default_factory=list)
-    variance_history: list = field(default_factory=list)
 
 
 def _at(samples, q, basis: SubspaceBasis | None = None, require_pd: bool = True):
@@ -220,13 +218,6 @@ def _mean_map(prep: TransportPrep, weights, basis: SubspaceBasis | None):
     mean_t = np.einsum("n,nij->ij", weights, prep.t)
     gap = mean_t - np.eye(len(mean_t), dtype=mean_t.dtype)
     return mean_t, gap if basis is None else _coords(basis, gap)
-
-
-def _append_variance(variances, variance, mean_trace, rule, it):
-    if variances and variance > variances[-1] + VARIANCE_REL_SLACK * mean_trace:
-        logger.warning("%s variance increased by %.3e at iteration %d",
-                       rule, variance - variances[-1], it)
-    variances.append(variance)
 
 
 def _variance_at(q, r, weights, mean_trace: float) -> float:
@@ -282,8 +273,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
                 q = anchor.array.astype(ss.array.dtype)
             else:
                 q = _ridge_to_pd(anchor, basis, ss)
-    history = []
-    variances = []
+    previous = np.inf  # the last iterate's variance
     for it in range(cfg.max_iter + 1):
         if basis is None and not _is_pd(np.linalg.eigvalsh(q)):
             raise PositivityLossError("fixed-point iterate lost strict positivity")
@@ -291,11 +281,13 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
         mean_t, coords = _mean_map(prep, ss.weights, basis)
         res = float(np.linalg.norm(coords))
         variance = _variance_at(q, prep.r, ss.weights, mean_trace)
-        history.append(res)
-        _append_variance(variances, variance, mean_trace, rule, it)
+        if variance > previous + VARIANCE_REL_SLACK * mean_trace:
+            logger.warning("%s variance increased by %.3e at iteration %d",
+                           rule, variance - previous, it)
+        previous = variance
         if res <= cfg.tol_residual:
             return BarycenterResult(PsdMatrix(q, mode=ss.mode, require_pd=True), it, res,
-                                    max(variance, 0.0), history, variances)
+                                    max(variance, 0.0))
         if it == cfg.max_iter:
             break
         hess = None if basis is None else _f_hat_from_prep(prep, ss.weights, basis.basis)
@@ -326,7 +318,7 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
             raise _stalled(f"no acceptable Newton step after {MAX_STEP_HALVINGS} halvings",
                            res, it)
         q = candidate
-    raise _stalled(f"no convergence after {cfg.max_iter} iterations", history[-1], cfg.max_iter)
+    raise _stalled(f"no convergence after {cfg.max_iter} iterations", res, cfg.max_iter)
 
 
 def solve_barycenter(

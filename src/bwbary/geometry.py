@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, NumericalError, _finite
 from .hermitian import (
-    RANK_REL_TOL,
+    PD_REL_TOL,
     OperatorOnM,
     PsdMatrix,
     SubspaceBasis,
@@ -158,14 +158,13 @@ def _transport_stack(q: np.ndarray, roots: np.ndarray) -> TransportPrep:
     The prep keeps r = sqrt(lam), lam = eig(S_i^{1/2} Q S_i^{1/2}), never lam,
     which can pass the float range for finite maps: the product is formed on
     Q 4^-k (`_scale_exponent`) and r = 2^k sqrt(lam').  Eigenvalues at or below
-    RANK_REL_TOL times the largest are set to zero, so r carries no roundoff
-    from a singular S_i; the maps take the pseudo-inverse branch and
-    w2 = 1 / (r_a r_b (r_a + r_b)) vanishes on their pairs.
+    PD_REL_TOL times the largest, zero to `_is_pd` too, are set to zero, so r
+    carries no roundoff from a singular S_i; the maps take the pseudo-inverse
+    branch and w2 = 1 / (r_a r_b (r_a + r_b)) vanishes on their pairs.
     """
     k = _scale_exponent(roots, q)
     lam, g = np.linalg.eigh(roots @ (q * math.ldexp(1.0, -2 * k)) @ roots)
-    lam = np.clip(lam, 0.0, None)
-    lam[lam <= RANK_REL_TOL * lam[:, -1:]] = 0.0
+    lam[lam <= PD_REL_TOL * lam[:, -1:]] = 0.0
     r = np.sqrt(lam) * math.ldexp(1.0, k)
     g = roots @ g  # G = S^{1/2} V, rebound so V is freed early
     inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)

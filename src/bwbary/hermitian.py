@@ -23,17 +23,11 @@ REAL = "real"
 COMPLEX = "complex"
 
 # Relative tolerances, per matrix: ||A - A_h||_F <= HERMITIAN_REL_TOL ||A||_F
-# and lambda_min >= -PSD_REL_TOL lambda_max gate the input; lambda_min >
-# PD_REL_TOL lambda_max is strict positivity.
+# and lambda_min >= -PSD_REL_TOL lambda_max gate the input; an eigenvalue at or
+# below PD_REL_TOL lambda_max is zero, so lambda_min above it is strict positivity.
 PSD_REL_TOL = 1e-10
 PD_REL_TOL = 1e-12
 HERMITIAN_REL_TOL = 1e-10
-RANK_REL_TOL = 1e-12
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real Frobenius inner product <A, B> = Re tr(A* B)."""
-    return float(np.real(np.sum(np.conjugate(a) * b)))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -186,8 +180,8 @@ class PsdMatrix:
         return float(_trace(self.array))
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues sorted descending."""
-        return self._w[::-1].copy()
+        """Eigenvalues sorted ascending, read-only."""
+        return self._w
 
     def is_strictly_positive(self) -> bool:
         return bool(_is_pd(self._w))

@@ -122,25 +122,18 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     return root_n * (inv_root @ coords)
 
 
-def _xi_root(xi: OperatorOnM) -> np.ndarray:
-    """Xi^{1/2}, after checking that Xi is PSD relative to lambda_max(Xi)."""
-    w, v = np.linalg.eigh(xi.matrix)
-    if w[0] < -XI_RANK_TOL * max(float(w[-1]), 0.0):
-        raise ValidationError("xi must be PSD")
-    return _spectral(w, v, _clipped_sqrt)
-
-
 def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draws of the distance-statistic limit ||Q*^{1/2} dT_{Q*}^{Q*}(Z)||_F.
 
-    Z = devectorize(Xi^{1/2} g) with g standard normal on the m coordinates.
+    Z = devectorize(Xi^{1/2} g) with g standard normal on the m coordinates;
+    Xi passes the PSD gate of `PsdMatrix`.
     """
     qm = as_psd(q_star, require_pd=True)
     if basis.dim_ambient != qm.dim or xi.dim_m != basis.dim_m:
         raise DimensionMismatchError("xi/basis dimensions do not match Q*")
     _check_count("count", count)
-    half = _xi_root(xi)
+    half = PsdMatrix(xi.matrix)._func(_clipped_sqrt)
     g = rng.standard_normal((xi.dim_m, count))
     coords = half @ g
     z = np.einsum("kab,kn->nab", basis.basis, coords)
@@ -234,9 +227,9 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     sigma_n = estimate_sigma_hat(ss, qn, basis).matrix
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(sigma_n - sigma_star))))
     lam = qs.eigenvalues()
-    kappa = float(lam[0] / lam[-1])
-    # ||S_i|| = lambda_max(S_i), the last of the gate's ascending spectrum
-    beta = kappa * np.sqrt(float(np.dot(ss.weights, ss._w[:, -1])) / float(lam[0]))
+    kappa = float(lam[-1] / lam[0])
+    # ||S|| = lambda_max(S), the last of an ascending spectrum
+    beta = kappa * np.sqrt(float(np.dot(ss.weights, ss._w[:, -1])) / float(lam[-1]))
     beta *= float(np.linalg.norm(gap))
     # on a full orthonormal basis, tr Sigma = mean ||T_i - I||_F^2
     rhs = beta * (2.0 * np.sqrt(np.trace(sigma_star)) + beta)

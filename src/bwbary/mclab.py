@@ -21,9 +21,9 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import bw_distance
-from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _inv_sqrt, _spectral,
-                        hermitian_part, standard_basis)
-from .inference import _xi_root, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _clipped_sqrt, _inv_sqrt,
+                        _spectral, hermitian_part, standard_basis)
+from .inference import estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
     sample_limit_dbw, studentized_statistic
 
 logger = logging.getLogger(__name__)
@@ -314,7 +314,7 @@ def run_clt_experiment(config: ExperimentConfig) -> dict:
     limit_samples = {}
     try:
         xi0 = estimate_xi_hat(sigma0, f0)
-        half = _xi_root(xi0)
+        half = PsdMatrix(xi0.matrix)._func(_clipped_sqrt)
         g = derive_rng(config.seed, _DOMAIN_LIMIT_FNORM).standard_normal(
             (basis.dim_m, config.limit_draws))
         limit_samples["fnorm"] = np.linalg.norm(half @ g, axis=0)

@@ -1,5 +1,5 @@
-"""Shared random generators, decomposition counting and a reference rescaled
-differential for the test suite."""
+"""Shared random generators, decomposition counting, the Frobenius inner
+product and a reference rescaled differential for the test suite."""
 
 import math
 
@@ -7,6 +7,11 @@ import numpy as np
 
 from bwbary import OperatorOnM, sqrt_psd, vectorize
 from bwbary.hermitian import hermitian_part
+
+
+def frobenius_inner(a, b) -> float:
+    """Real Frobenius inner product <A, B> = Re tr(A* B)."""
+    return float(np.real(np.sum(np.conjugate(a) * b)))
 
 
 def rand_orthogonal(rng, d):

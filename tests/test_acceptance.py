@@ -28,11 +28,10 @@ from bwbary import (
     run_concentration_experiment,
 )
 from bwbary.geometry import bw_gradient
-from bwbary.hermitian import frobenius_inner
 from bwbary.mclab import ExperimentConfig, _population, _random_spd_draws, \
     derive_rng, ks_distance
 
-from helpers import rand_hermitian, rand_spd, rescaled_operator
+from helpers import frobenius_inner, rand_hermitian, rand_spd, rescaled_operator
 
 ACCEPT_SEED = 20260809
 

@@ -428,3 +428,64 @@ class TestEnvelope:
                                "--n", "100", "--t", "2")
         assert code == 1
         assert "requires" in err
+
+
+class TestBadInput:
+    """Each bad input ends with its documented exit code and a one-line error,
+    naming the line of a bundle where one applies."""
+
+    @staticmethod
+    def _fails(capsys, code, *argv):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, (argv, out, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("BWB v1 2 real 1\n1.0 0.0\n0.0 1.0\n\nextra\n", 5, "trailing content after payload"),
+        ("BWB v1 2 real 2\nweights: 0.5 half\n1 0\n0 1\n1 0\n0 1\n", 2, "bad weight"),
+        ("BWB v1 2 complex 1\n2.0+0.0 0.0+1.0i\n0.0-1.0i 2.0+0.0i\n", 2,
+         "bad entry '2.0+0.0': complex entry must end in 'i'"),
+        ("BWB v1 2 complex 1\n2.0+0.0i 0.0+0.0i\n0.0+0.0i 3.0i\n", 3,
+         "bad entry '3.0i': missing imaginary part"),
+        ("BWB v1 2 real 2\nweights: 0.5 0.25 0.25\n1 0\n0 1\n1 0\n0 1\n", 2,
+         "expected 2 weights, got 3"),
+    ], ids=["trailing-content", "bad-weight", "complex-without-i", "complex-without-imag",
+            "weights-length"])
+    def test_malformed_bundle_is_exit_1_with_line(self, tmp_path, capsys, text, line, message):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        err = self._fails(capsys, 1, "barycenter", path, "--out", tmp_path / "out.mat")
+        assert f"{path}:{line}: {message}" in err
+        assert not (tmp_path / "out.mat").exists()
+
+    def test_distance_on_two_matrix_bundle_is_exit_1(self, workdir, capsys):
+        pair = workdir / "pair.mat"
+        save_bundle(SampleSet([np.eye(2), 2.0 * np.eye(2)]), pair)
+        err = self._fails(capsys, 1, "distance", pair, workdir / "s.mat")
+        assert "expected a single-matrix bundle, got 2" in err
+
+    def test_bad_means_token_is_exit_1(self, workdir, capsys):
+        (workdir / "bad.txt").write_text("0 zero\n")
+        err = self._fails(capsys, 1, "distance", workdir / "q.mat", workdir / "s.mat",
+                          "--means", workdir / "ma.txt", workdir / "bad.txt")
+        assert f"{workdir / 'bad.txt'}: bad vector entry" in err
+
+    def test_config_list_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps([{"d": 2}]))
+        err = self._fails(capsys, 1, "simulate", "--config", tmp_path / "cfg.json",
+                          "--out", tmp_path / "r.json")
+        assert "config must be a JSON object" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_envelope_q_without_c_q_is_exit_1(self, capsys):
+        err = self._fails(capsys, 1, "envelope", "--kind", "q", "--d", "2", "--n", "100",
+                          "--t", "1")
+        assert "envelope q requires --c-q" in err
+
+    def test_barycenter_out_of_iterations_is_exit_2(self, workdir, capsys):
+        err = self._fails(capsys, 2, "barycenter", workdir / "rich.mat", "--max-iter", "1",
+                          "--out", workdir / "out.mat")
+        assert "no convergence after 1 iterations" in err
+        assert not (workdir / "out.mat").exists()

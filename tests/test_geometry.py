@@ -16,10 +16,9 @@ from bwbary import (
     transport_map,
     vectorize,
 )
-from bwbary.hermitian import frobenius_inner
 
-from helpers import (count_decompositions, matrix_count, rand_hermitian, rand_psd_singular,
-                     rand_spd, rescaled_operator)
+from helpers import (count_decompositions, frobenius_inner, matrix_count, rand_hermitian,
+                     rand_psd_singular, rand_spd, rescaled_operator)
 
 
 class TestDistance:

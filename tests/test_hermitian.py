@@ -17,9 +17,9 @@ from bwbary import (
     vectorize,
 )
 from bwbary.hermitian import (OperatorOnM, _clipped_sqrt, _inv_sqrt, _spectral,
-                              frobenius_inner, hermitian_part)
+                              hermitian_part)
 
-from helpers import rand_hermitian, rand_psd_singular, rand_spd, rand_unitary
+from helpers import frobenius_inner, rand_hermitian, rand_psd_singular, rand_spd, rand_unitary
 
 
 def _reference_root(a, f):
@@ -48,12 +48,20 @@ class TestGateDecomposition:
             root = _reference_root(m.array, _clipped_sqrt)
             assert np.array_equal(m._func(_clipped_sqrt), root)
             assert np.array_equal(sqrt_psd(m).array, hermitian_part(root))
-            assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.array)[0][::-1])
+            assert np.array_equal(m.eigenvalues(), np.linalg.eigh(m.array)[0])
             if kind != "singular":
                 assert np.array_equal(m._func(_inv_sqrt), _reference_root(m.array, _inv_sqrt))
 
 
 class TestPsdMatrix:
+    def test_eigenvalues_ascending_and_read_only(self):
+        m = PsdMatrix(np.diag([3.0, 1.0, 2.0]))
+        lam = m.eigenvalues()
+        assert lam.tolist() == [1.0, 2.0, 3.0]
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+
     def test_accepts_small_negative_roundoff(self):
         a = np.diag([1.0, -1e-12])
         m = PsdMatrix(a)

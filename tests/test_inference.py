@@ -165,7 +165,7 @@ class TestFHat:
         # slow reference on an orthonormal basis C of Q^{-1/2} M Q^{-1/2}:
         # <C_k, Q^{1/2} (-mean dT)(Q^{1/2} C_l Q^{1/2}) Q^{1/2}>
         from bwbary import sqrt_psd
-        from bwbary.hermitian import frobenius_inner
+        from helpers import frobenius_inner
 
         rng = np.random.default_rng(30)
         basis = standard_basis(3, kind="traceless")
@@ -657,6 +657,42 @@ class TestSigmaPerturbation:
         beta = 1.0 * np.sqrt(np.mean(values) / q_star) * abs(q_n / q_star - 1.0)
         rhs_direct = beta * (2 * np.sqrt(np.mean((t_star - 1) ** 2)) + beta)
         assert rhs == pytest.approx(rhs_direct, rel=1e-12)
+        assert lhs <= rhs
+
+    def test_ill_conditioned_direct_arithmetic(self):
+        # cond(Q*) = 10: both sides by hand, with T_i = Q^{-1/2} (Q^{1/2} S_i Q^{1/2})^{1/2}
+        # Q^{-1/2}, and cond(Q*) and ||Q*|| from an ascending spectrum
+        rng = np.random.default_rng(19)
+        u = rand_orthogonal(rng, 3)
+        q_star = u @ np.diag([1.0, 4.0, 10.0]) @ u.T
+        q_n = q_star + 0.02 * rand_hermitian(rng, 3)
+        mats = [rand_spd(rng, 3, 0.5, 20.0) for _ in range(6)]
+        lam = np.linalg.eigvalsh(q_star)
+        assert lam[-1] / lam[0] >= 10.0 - 1e-12
+
+        def psd_power(a, p):
+            w, vecs = np.linalg.eigh(a)
+            return (vecs * w ** p) @ vecs.T
+
+        def maps_minus_identity(q):
+            r, ir = psd_power(q, 0.5), psd_power(q, -0.5)
+            return np.stack([ir @ psd_power(r @ s @ r, 0.5) @ ir - np.eye(3) for s in mats])
+
+        def sigma(q):
+            flat = maps_minus_identity(q).reshape(len(mats), -1)
+            return flat.T @ flat / len(mats)
+
+        lhs_direct = np.sum(np.abs(np.linalg.eigvalsh(sigma(q_n) - sigma(q_star))))
+        inv_root = psd_power(q_star, -0.5)
+        gap = np.linalg.norm(inv_root @ q_n @ inv_root - np.eye(3))
+        norm_s = np.mean([np.linalg.eigvalsh(s)[-1] for s in mats])
+        beta = lam[-1] / lam[0] * np.sqrt(norm_s / lam[-1]) * gap
+        spread = np.mean(np.sum(maps_minus_identity(q_star) ** 2, axis=(1, 2)))
+        rhs_direct = beta * (2.0 * np.sqrt(spread) + beta)
+
+        lhs, rhs = sigma_perturbation_bound(SampleSet(mats), q_star, q_n)
+        assert lhs == pytest.approx(lhs_direct, rel=1e-9)
+        assert rhs == pytest.approx(rhs_direct, rel=1e-10)
         assert lhs <= rhs
 
     def test_random_instances_hold(self):

@@ -120,6 +120,21 @@ class TestBundleValidation:
         with pytest.raises(ValidationError, match="finite"):
             SampleSet([PsdMatrix(np.eye(2)), PsdMatrix(np.eye(2))], weights=[bad, 0.5])
 
+    def test_negligible_imaginary_part_stored_real(self, tmp_path):
+        # real mode drops an imaginary part below the Hermitian tolerance, so a
+        # complex-dtype stack is kept, and written, as a real bundle
+        rng = np.random.default_rng(6)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(3)])
+        ss = SampleSet(stack + 1e-14j * np.ones_like(stack), mode="real")
+        assert ss.mode == "real" and ss.array.dtype == np.float64
+        assert np.array_equal(ss.array, stack)
+        path = tmp_path / "real.mat"
+        save_bundle(ss, path)
+        assert path.read_text().startswith("BWB v1 3 real 3\n")
+        assert load_bundle(path).array.tobytes() == ss.array.tobytes()
+        with pytest.raises(ValidationError, match="complex entries in real-symmetric mode"):
+            SampleSet(stack + 1e-6j * np.ones_like(stack), mode="real")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.mat"
         path.write_text("BWX v9 2 real 1\n1.0 0.0\n0.0 1.0\n")
