@@ -8,7 +8,6 @@ orthonormal bases / projections for subspaces of Hermitian matrices.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
@@ -304,7 +303,12 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
     if kind == "traceless" and d < 2:
         raise ValidationError("traceless basis requires d >= 2")
     dtype = np.complex128 if mode == COMPLEX else np.float64
-    diagonals = np.eye(d) if kind == "full" else scipy.linalg.helmert(d)
+    if kind == "full":
+        diagonals = np.eye(d)
+    else:  # Helmert rows k = 1..d-1: (e_1 + ... + e_k - k e_{k+1}) / sqrt(k (k + 1))
+        k = np.arange(1, d)
+        helmert = np.tril(np.ones((d, d)), -1) - np.diag(np.arange(d))
+        diagonals = helmert[1:] / np.sqrt(k * (k + 1))[:, None]
     elements = [np.diag(row).astype(dtype) for row in diagonals]
     # symmetric pairs, then (complex mode) antisymmetric ones, each in row-major order
     pairs = [(1.0, 1.0)] if mode == REAL else [(1.0, 1.0), (1.0j, -1.0j)]

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .barycenter import (SolverConfig, _as_float, _at, _check_count, _mean_map,
                          frechet_variance, solve_barycenter)
@@ -169,16 +168,19 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
 def _f_prime_spectrum(ss, q, basis: SubspaceBasis) -> np.ndarray:
     """Ascending spectrum of F' = -sum_i w_i dt_i on Q^{-1/2} M Q^{-1/2}.  With
     C_k = Q^{-1/2} B_k Q^{-1/2}, <C_k, -dt(C_l)> is F-hat_kl on the prep at Q, so this
-    is the spectrum of the pencil (F-hat, G), G_kl = <C_k, C_l>."""
+    is the spectrum of the pencil (F-hat, G), G_kl = <C_k, C_l>, read as that of
+    L^{-1} F-hat L^{-T} with G = L L^T."""
     qm = as_psd(q)
     inv_root = qm._func(_inv_sqrt)
     c = (inv_root @ basis.basis @ inv_root).reshape(basis.dim_m, -1)
     gram = np.real(np.conjugate(c) @ c.T)
     f_hat = _f_hat_from_prep(ss.transport_prep(qm.array), ss.weights, basis.basis)
     try:
-        return scipy.linalg.eigh(f_hat, gram, eigvals_only=True)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:  # G, whose condition is cond(Q)^2, failed Cholesky
         raise DegenerateCovarianceError("Q is too ill-conditioned to form F'") from None
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, f_hat).T)
+    return np.linalg.eigvalsh((reduced + reduced.T) / 2)
 
 
 def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):

@@ -34,21 +34,20 @@ def _format_scalar(value, mode: str) -> str:
     return repr(float(np.real(value)))
 
 
-def _parse_scalar(token: str, mode: str, path, line):
+def _complex_entry(token: str) -> complex:
+    """`re+imi` or `re-imi`, each part a float literal."""
+    if not token.endswith("i"):
+        raise ValueError("complex entry must end in 'i'")
+    body = token[:-1]
+    for pos in range(len(body) - 1, 0, -1):
+        if body[pos] in "+-" and body[pos - 1] not in "eE":
+            return complex(float(body[:pos]), float(body[pos:]))
+    raise ValueError("missing imaginary part")
+
+
+def _entry(conv, token: str, path, line):
     try:
-        if mode == REAL:
-            return float(token)
-        if not token.endswith("i"):
-            raise ValueError("complex entry must end in 'i'")
-        body = token[:-1]
-        split = None
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                split = pos
-                break
-        if split is None:
-            raise ValueError("missing imaginary part")
-        return complex(float(body[:split]), float(body[split:]))
+        return conv(token)
     except ValueError as exc:
         raise ParseError(f"bad entry {token!r}: {exc}", path=path, line=line) from exc
 
@@ -127,6 +126,7 @@ def _parse_text(text: str, path: Path):
         except ValueError as exc:
             raise ParseError(f"bad weight: {exc}", path=path, line=idx + 1) from exc
         idx += 1
+    conv = _complex_entry if mode == COMPLEX else float
     rows = []
     for i in range(n):
         for _ in range(d):
@@ -137,7 +137,11 @@ def _parse_text(text: str, path: Path):
             if len(tokens) != d:
                 raise ParseError(f"expected {d} entries, got {len(tokens)}",
                                  path=path, line=idx + 1)
-            rows.append([_parse_scalar(t, mode, path, idx + 1) for t in tokens])
+            try:
+                row = list(map(conv, tokens))
+            except ValueError:  # token by token, so the error names the bad one
+                row = [_entry(conv, t, path, idx + 1) for t in tokens]
+            rows.append(row)
             idx += 1
     for lineno, line in enumerate(lines[idx:], start=idx + 1):
         if line.strip():

@@ -563,6 +563,37 @@ class TestSolverBranches:
         with pytest.raises(ConvergenceError, match="after 1 halvings"):
             solve_barycenter(ss, constraint=basis)
 
+    @pytest.mark.parametrize("fraction", [None, 0.0], ids=["armijo", "plain-decrease"])
+    def test_armijo_fraction_decides_the_step(self, monkeypatch, fraction):
+        # the first Newton candidate is made to lower V by a millionth of its
+        # true decrease: the Armijo bound (a share ARMIJO_FRACTION = 1e-4 of the
+        # predicted decrease) rejects it and the step halves; plain decrease
+        # (fraction 0) takes it
+        calls, values = [], []
+
+        def shallow(q, r, weights, mean_trace, _original=barycenter_module._variance_at):
+            value = _original(q, r, weights, mean_trace)
+            if len(calls) == 1:  # the first candidate; its true decrease dwarfs the slack
+                assert values[0] - value > 1e-5 * mean_trace
+                value = values[0] - 1e-6 * (values[0] - value)
+            calls.append(q)
+            values.append(value)
+            return value
+
+        rng = np.random.default_rng(7)
+        ss = SampleSet([rand_spd(rng, 3, 0.1, 10.0) for _ in range(4)])
+        if fraction is not None:
+            monkeypatch.setattr(barycenter_module, "ARMIJO_FRACTION", fraction)
+        monkeypatch.setattr(barycenter_module, "_variance_at", shallow)
+        result = solve_barycenter(ss, constraint=standard_basis(3))
+        assert result.residual <= 1e-10
+        full, halved = calls[1] - calls[0], calls[2] - calls[0]
+        if fraction is None:
+            assert np.allclose(halved, full / 2, rtol=0, atol=1e-12 * np.abs(full).max())
+        else:
+            # the shallow candidate is the next iterate
+            assert np.array_equal(calls[2], calls[1])
+
     def test_start_fallbacks_reach_one_barycenter(self, monkeypatch):
         # traces far above 1 put the projected root mean outside the cone; the
         # anchor I/3 is the start, or the singular anchor diag(1, 0, 0) ridged

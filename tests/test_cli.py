@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bwbary
 from bwbary import (
     PsdMatrix,
     SampleSet,
@@ -35,6 +40,37 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestColdStart:
+    def test_subcommands_load_no_scipy(self, workdir):
+        # a fresh interpreter runs infer (both bases), a pool-sampled CLT
+        # simulate and distance, then lists the scipy modules it loaded
+        rng = np.random.default_rng(2)
+        save_bundle(SampleSet([rand_spd(rng, 2, 1.0, 3.0) for _ in range(20)]),
+                    workdir / "bundle.mat")
+        cfg = {"kind": "clt", "d": 2, "n_grid": [3, 4], "replicates": 2, "pop_proxy_size": 40,
+               "sampling": "pool", "limit_draws": 20, "seed": 5}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        runs = [["infer", workdir / "bundle.mat", "--qstar", workdir / "q.mat"],
+                ["infer", workdir / "bundle.mat", "--qstar", workdir / "q.mat",
+                 "--basis", "traceless"],
+                ["simulate", "--config", workdir / "cfg.json", "--out", workdir / "rep.json"],
+                ["distance", workdir / "q.mat", workdir / "s.mat"]]
+        script = (
+            "import contextlib, io, sys\n"
+            "from bwbary.cli import main\n"
+            f"for argv in {[[str(a) for a in run] for run in runs]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(bwbary.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestDistance:
@@ -459,6 +495,29 @@ class TestBadInput:
         err = self._fails(capsys, 1, "barycenter", path, "--out", tmp_path / "out.mat")
         assert f"{path}:{line}: {message}" in err
         assert not (tmp_path / "out.mat").exists()
+
+    @pytest.mark.parametrize("mode, n, matrix, row, column, token", [
+        ("real", 1000, 700, 1, 2, "1.5x"),
+        ("complex", 40, 17, 0, 1, "0.5+0.25j"),
+    ], ids=["real-third-entry", "complex-second-entry"])
+    def test_bad_entry_inside_a_line_is_named(self, tmp_path, capsys, mode, n, matrix, row,
+                                              column, token):
+        # a bundle reads back bit for bit; with one entry replaced, the error
+        # names that entry and its line, not the first entry of the line
+        rng = np.random.default_rng(5)
+        bundle = SampleSet([rand_spd(rng, 3, complex_mode=mode == "complex") for _ in range(n)],
+                           mode=mode)
+        path = tmp_path / "big.mat"
+        save_bundle(bundle, path)
+        assert load_bundle(path).array.tobytes() == bundle.array.tobytes()
+        lines = path.read_text().splitlines()
+        index = 1 + 3 * matrix + row  # after the header, three lines per matrix
+        tokens = lines[index].split()
+        tokens[column] = token
+        lines[index] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        err = self._fails(capsys, 1, "barycenter", path, "--out", tmp_path / "out.mat")
+        assert f"{path}:{index + 1}: bad entry {token!r}: " in err
 
     def test_distance_on_two_matrix_bundle_is_exit_1(self, workdir, capsys):
         pair = workdir / "pair.mat"

@@ -2,8 +2,8 @@
 concentration study on the trace-one slice) and an `infer` call, at
 BWB_THREADS 1 and 2, against `golden.json`.
 
-On the build that file records (numpy, scipy, the BLAS and the kernel it
-picked, numpy's SIMD paths) every output must have its recorded sha256.  On
+On the build that file records (numpy, the BLAS and the kernel it picked,
+numpy's SIMD paths) every output must have its recorded sha256.  On
 any other build the outputs are compared with the recorded values at the
 benchmark's tolerance instead, so the test always runs.  A change that moves
 output bytes on purpose re-records the file and says so in CHANGES.md:
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from bwbary.cli import main
 
@@ -60,7 +59,7 @@ def _blas_kernel():
 
 def build() -> dict:
     """What decides the bits of the outputs besides the program."""
-    out = {"machine": platform.machine(), "numpy": np.__version__, "scipy": scipy.__version__}
+    out = {"machine": platform.machine(), "numpy": np.__version__}
     try:
         config = np.show_config(mode="dicts")
         blas = config["Build Dependencies"]["blas"]

@@ -203,6 +203,13 @@ class TestStandardBasis:
         else:
             assert basis.anchor is None
 
+    @pytest.mark.parametrize("d", range(2, 12))
+    def test_traceless_block_is_scipy_helmert(self, d):
+        from scipy.linalg import helmert
+
+        block = standard_basis(d, "real", "traceless").basis[:d - 1]
+        assert np.array_equal(np.diagonal(block, axis1=1, axis2=2), helmert(d))
+
     def test_counts(self):
         assert standard_basis(2, "real", "full").dim_m == 3
         assert standard_basis(2, "complex", "full").dim_m == 4

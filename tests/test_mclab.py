@@ -305,6 +305,22 @@ class TestKsDistance:
         assert max(gaps) == pytest.approx(1.0 / 3.0)
         assert ks_distance(a, b) == pytest.approx(1.0 / 3.0)
 
+    def test_matches_scipy_ks_2samp_bitwise(self):
+        # scipy is the oracle, compared by bit pattern (so +0.0 is not -0.0):
+        # sizes 1-3000, values on a coarse grid so that ties within and across
+        # the samples are common, and samples with equal empirical CDFs
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(41)
+        pairs = [([1.0, 2.0], [2.0, 1.0]), ([0.5], [0.5, 0.5])]
+        for _ in range(300):
+            na, nb = rng.integers(1, 3001, 2) if rng.random() < 0.3 else rng.integers(1, 40, 2)
+            step = 10.0 ** rng.integers(-3, 1)
+            pairs.append((np.round(rng.standard_normal(na) / step) * step,
+                          np.round((rng.standard_normal(nb) + rng.uniform(-1, 1)) / step) * step))
+        for a, b in pairs:
+            assert ks_distance(a, b).hex() == float(ks_2samp(a, b, method="asymp").statistic).hex()
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             ks_distance([], [1.0])

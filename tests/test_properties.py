@@ -155,6 +155,50 @@ def test_distance_symmetric(seed, d, ranks, exponent):
     assert bw_distance(q, s) == bw_distance(s, q)
 
 
+def _realify(a):
+    """R(A) = [[Re A, -Im A], [Im A, Re A]] on the last two axes: a
+    *-homomorphism from complex d x d to real 2d x 2d matrices, so it commutes
+    with products, roots and inverses, and <RA, RB> = 2 <A, B>."""
+    re, im = np.real(a), np.imag(a)
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
+
+
+@pytest.mark.parametrize("rule", RULES)
+@FEW
+@given(seed=seeds, n=sizes, d=st.integers(1, 4))
+def test_complex_mode_matches_its_realification(rule, seed, n, d):
+    # d^2 and V double, T and the barycenter commute with R, and eta grows by
+    # sqrt 2 on the basis R(B_k) / sqrt 2, where F-hat and G keep their matrices.
+    # Newton runs on the trace-one slice (on all of H at d = 1), the real one
+    # on its image R(I/d) + span R(B_k)
+    mats = _samples(seed, n, d, complex_mode=True)
+    q = rand_spd(np.random.default_rng(seed + 1), d, 0.2, 5.0, True) / d
+    ss, real = SampleSet(mats, mode="complex"), SampleSet(_realify(mats), mode="real")
+    scale = np.trace(q).real + 1.0
+    assert abs(bw_distance_sq(_realify(q), _realify(mats[0]))
+               - 2.0 * bw_distance_sq(q, mats[0])) <= 1e-12 * scale
+    assert abs(frechet_variance(_realify(q), real) - 2.0 * frechet_variance(q, ss)) <= 1e-12 * scale
+    assert _close(transport_map(_realify(q), _realify(mats[0])).matrix.array,
+                  _realify(transport_map(q, mats[0]).matrix.array))
+
+    def realified(basis):
+        anchor = None if basis.anchor is None else _realify(basis.anchor.array)
+        return SubspaceBasis(_realify(basis.basis) / np.sqrt(2.0), mode="real", anchor=anchor)
+
+    full = standard_basis(d, mode="complex")
+    constraint = None
+    if rule == "affine-newton":
+        constraint = standard_basis(d, mode="complex", kind="traceless") if d > 1 else full
+    solved = solve_barycenter(ss, constraint=constraint).barycenter.array
+    if constraint is not None:
+        constraint = realified(constraint)
+    embedded = solve_barycenter(real, constraint=constraint)
+    assert _close(embedded.barycenter.array, _realify(solved))
+    eta = eta_n_diagnostic(ss, q, full)[0]
+    assert eta_n_diagnostic(real, _realify(q), realified(full))[0] == pytest.approx(
+        np.sqrt(2.0) * eta, rel=1e-9)
+
+
 positive_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 
 
