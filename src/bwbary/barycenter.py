@@ -63,14 +63,9 @@ class SampleSet:
         if weights is None:
             w = np.full(n, 1.0 / n)
         else:
-            w = _as_array(weights)
-            if w.dtype.kind not in "biuf":
-                raise ValidationError(f"weights must be real numbers, got dtype {w.dtype}")
-            w = w.astype(np.float64)
+            w = _as_array(weights, "weights", real=True)
             if w.shape != (n,):
                 raise DimensionMismatchError(f"weights shape {w.shape} != ({n},)")
-            if not np.all(np.isfinite(w)):
-                raise ValidationError("weights must be finite")
             if np.any(w < 0):
                 raise ValidationError("weights must be nonnegative")
             total = float(w.sum())

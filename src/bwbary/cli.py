@@ -76,21 +76,13 @@ def _cmd_map(args) -> None:
     _emit({"out": str(args.out), "push_forward_residual": t.push_forward_error()})
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol_residual"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    return SolverConfig(**kwargs)
-
-
 def _cmd_barycenter(args) -> None:
     samples = load_bundle(args.bundle)
     constraint = None
     if args.constraint == "trace1":
         constraint = standard_basis(samples.dim, mode=samples.mode, kind="traceless")
-    result = solve_barycenter(samples, constraint=constraint, config=_solver_config(args))
+    result = solve_barycenter(samples, constraint=constraint,
+                              config=SolverConfig(max_iter=args.max_iter, tol_residual=args.tol))
     save_bundle(SampleSet([result.barycenter]), args.out)
     _emit({
         "out": str(args.out),
@@ -189,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barycenter", help="barycenter of a bundle")
     p.add_argument("bundle")
     p.add_argument("--constraint", choices=["trace1"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol_residual)
+    p.add_argument("--max-iter", type=int, dest="max_iter", default=SolverConfig.max_iter)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_barycenter)
 

@@ -17,6 +17,7 @@ from .hermitian import (
     PsdMatrix,
     SubspaceBasis,
     _adjoint,
+    _as_array,
     _clipped_sqrt,
     _spectral,
     _trace,
@@ -95,7 +96,7 @@ class TransportMap:
 
     def apply(self, x) -> np.ndarray:
         """Raw differential dT applied to a Hermitian perturbation X."""
-        arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
+        arr = x.array if isinstance(x, PsdMatrix) else _as_array(x, "perturbation")
         if arr.shape != self.source.array.shape:
             raise DimensionMismatchError("perturbation dimension mismatch")
         return hermitian_part(_dt_apply(self._prep, arr)[0])

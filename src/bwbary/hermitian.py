@@ -73,12 +73,24 @@ def _reject(bad: np.ndarray, error, reason: str, *values) -> None:
                     index=i if bad.size > 1 else None)
 
 
-def _as_array(value) -> np.ndarray:
-    """np.asarray, with ragged nesting reported as a dimension mismatch."""
+def _as_array(value, what: str = "entries", real: bool = False) -> np.ndarray:
+    """The one conversion of an array argument: np.asarray, with ragged nesting
+    a dimension mismatch and a dtype that is not numeric a ValidationError.
+    With real=True the entries must be finite real numbers, returned as a float64 copy."""
     try:
-        return np.asarray(value)
+        arr = np.asarray(value)
     except ValueError as exc:
-        raise DimensionMismatchError(f"input is ragged or not array-like: {exc}") from None
+        raise DimensionMismatchError(f"{what}: ragged or not array-like: {exc}") from None
+    if arr.dtype.kind not in "biufc":
+        raise ValidationError(f"{what} must be numbers, got dtype {arr.dtype}")
+    if not real:
+        return arr
+    if arr.dtype.kind == "c":
+        raise ValidationError(f"{what} must be real numbers")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return arr
 
 
 def _hermitian_stack(stack, mode=None):
@@ -88,11 +100,9 @@ def _hermitian_stack(stack, mode=None):
     and imaginary parts in real mode, and gates each matrix by ||A - A_h||_F <=
     HERMITIAN_REL_TOL ||A||_F.  Returns (the stack of A_h = (A + A^*)/2, mode).
     """
-    stack = _as_array(stack)
-    if stack.dtype.kind not in "biufc":
-        raise ValidationError(f"matrix entries must be numbers, got dtype {stack.dtype}")
+    stack = _as_array(stack, "matrix entries")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
-        raise DimensionMismatchError(f"expected a nonempty (n, d, d) stack, got {stack.shape}")
+        raise DimensionMismatchError(f"expected nonempty square matrices, got shape {stack.shape}")
     inferred = COMPLEX if np.iscomplexobj(stack) else REAL
     if mode is None:
         mode = inferred
@@ -156,10 +166,7 @@ class PsdMatrix:
     __slots__ = ("array", "mode", "_w", "_v")
 
     def __init__(self, array, mode=None, require_pd=False):
-        arr = _as_array(array)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"matrix must be square, got shape {arr.shape}")
-        stack, mode, w, v = _psd_stack(arr[None], mode)
+        stack, mode, w, v = _psd_stack([array], mode)
         if require_pd and not _is_pd(w[0]):
             raise SingularMatrixError(
                 f"matrix is not strictly positive: lambda_min = {w[0, 0]:.6e}"
@@ -265,7 +272,7 @@ def _coords(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
 
 def vectorize(basis: SubspaceBasis, x) -> np.ndarray:
     """Coordinates v_k = <B_k, X> of (the projection of) X in the basis."""
-    arr = x.array if isinstance(x, PsdMatrix) else np.asarray(x)
+    arr = x.array if isinstance(x, PsdMatrix) else _as_array(x, "matrix")
     if arr.shape != (basis.dim_ambient, basis.dim_ambient):
         raise DimensionMismatchError(
             f"matrix shape {arr.shape} does not match ambient dimension {basis.dim_ambient}")
@@ -274,7 +281,7 @@ def vectorize(basis: SubspaceBasis, x) -> np.ndarray:
 
 def devectorize(basis: SubspaceBasis, coords) -> np.ndarray:
     """Inverse of vectorize: sum_k v_k B_k, a Hermitian matrix in M."""
-    v = np.asarray(coords, dtype=np.float64)
+    v = _as_array(coords, "coordinates", real=True)
     if v.shape != (basis.dim_m,):
         raise DimensionMismatchError(
             f"coordinate length {v.shape} does not match basis size {basis.dim_m}"
@@ -328,14 +335,12 @@ class OperatorOnM:
     __slots__ = ("basis", "matrix")
 
     def __init__(self, basis: SubspaceBasis, matrix):
-        arr = np.asarray(matrix, dtype=np.float64)
+        arr = _as_array(matrix, "operator matrix", real=True)
         m = basis.dim_m
         if arr.shape != (m, m):
             raise DimensionMismatchError(
                 f"operator matrix shape {arr.shape} does not match basis size {m}"
             )
-        if not np.isfinite(arr).all():
-            raise ValidationError("operator matrix has non-finite entries")
         gap = np.max(np.abs(arr - arr.T))
         if gap > 1e-10 * float(np.max(np.abs(arr))):
             raise ValidationError(f"operator matrix is not symmetric (gap {gap:.3e})")

@@ -85,8 +85,6 @@ def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarra
 
 def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM) -> OperatorOnM:
     """Sandwich covariance F^{-1} Sigma F^{-1} of the barycenter estimator."""
-    if sigma_hat.dim_m != f_hat.dim_m:
-        raise DimensionMismatchError("sigma and F live on different subspaces")
     if not np.array_equal(sigma_hat.basis.basis, f_hat.basis.basis):
         raise ValidationError("sigma and F are materialized on different bases")
     f_inv = _operator_power(f_hat, np.reciprocal, PD_REL_TOL,
@@ -107,8 +105,8 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     root_n = np.sqrt(_as_float("n", n))
     qn = as_psd(q_n)
     qr = as_psd(q_ref)
-    if qn.dim != qr.dim or qn.dim != basis.dim_ambient:
-        raise DimensionMismatchError("dimension mismatch between Q_n, Q_ref, basis")
+    if qn.dim != qr.dim or qn.dim != basis.dim_ambient or xi_hat.dim_m != basis.dim_m:
+        raise DimensionMismatchError("dimension mismatch between Q_n, Q_ref, Xi-hat, basis")
     diff = qn.array - qr.array
     coords = vectorize(basis, diff)
     off = float(np.linalg.norm(diff - devectorize(basis, coords)))
@@ -119,6 +117,16 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     inv_root = _operator_power(xi_hat, _inv_sqrt, XI_RANK_TOL,
                                "Xi-hat has a null direction; studentization is undefined")
     return root_n * (inv_root @ coords)
+
+
+def _studentize(ss, q_n, q_ref, basis: SubspaceBasis):
+    """The CLT pipeline at a solved barycenter Q_n: Sigma-hat and F-hat on the
+    prep at Q_n, Xi-hat = F^{-1} Sigma F^{-1}, and the studentized coordinates
+    of Q_n - Q_ref.  Returns (Sigma-hat, F-hat, Xi-hat, coordinates)."""
+    sigma = estimate_sigma_hat(ss, q_n, basis)
+    f_hat = estimate_f_hat(ss, q_n, basis)
+    xi = estimate_xi_hat(sigma, f_hat)
+    return sigma, f_hat, xi, studentized_statistic(q_n, q_ref, xi, basis, len(ss))
 
 
 def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
@@ -249,10 +257,7 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     constraint = basis if basis.anchor is not None else None
     result = solve_barycenter(ss, constraint=constraint, config=config)
     q_n = result.barycenter
-    sigma = estimate_sigma_hat(ss, q_n, basis)
-    f_hat = estimate_f_hat(ss, q_n, basis)
-    xi = estimate_xi_hat(sigma, f_hat)
-    student = studentized_statistic(q_n, qr, xi, basis, len(ss))
+    sigma, f_hat, xi, student = _studentize(ss, q_n, qr, basis)
     if v_ref is None:
         v_ref = frechet_variance(qr, ss)
     n = len(ss)

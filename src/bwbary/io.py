@@ -13,13 +13,11 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import jsonschema
-from jsonschema import Draft202012Validator
 
 from .barycenter import SampleSet, SolverConfig, solve_barycenter
 from .exceptions import DimensionMismatchError, ParseError, ValidationError, _finite
 from .geometry import bw_distance_sq
-from .hermitian import COMPLEX, PsdMatrix, REAL, as_psd
+from .hermitian import COMPLEX, PsdMatrix, REAL, _as_array, as_psd
 
 TEXT_MAGIC = "BWB v1"
 BINARY_MAGIC = b"BWBB v1\n"
@@ -190,10 +188,8 @@ class LocationScaleMeasure:
     covariance: PsdMatrix
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64).ravel()
+        self.mean = _as_array(self.mean, "mean", real=True).ravel()
         self.covariance = as_psd(self.covariance)
-        if not np.all(np.isfinite(self.mean)):
-            raise ValidationError("mean has non-finite entries")
         if self.mean.shape != (self.covariance.dim,):
             raise DimensionMismatchError(
                 f"mean length {self.mean.shape[0]} != covariance dim"
@@ -203,9 +199,7 @@ class LocationScaleMeasure:
 
 def w2_distance_sq(a: LocationScaleMeasure, b: LocationScaleMeasure) -> float:
     """Squared 2-Wasserstein distance within a scale-location family:
-    ||m1 - m2||^2 + d_BW^2(S1, S2)."""
-    if a.mean.shape != b.mean.shape:
-        raise DimensionMismatchError("mean dimensions differ")
+    ||m1 - m2||^2 + d_BW^2(S1, S2), whose dimension check covers the means."""
     # in Python floats, where an overflow is a silent inf for `_finite` to catch
     gap = sum((x - y) * (x - y) for x, y in zip(a.mean.tolist(), b.mean.tolist()))
     return _finite(gap + bw_distance_sq(a.covariance, b.covariance), "the squared W2 distance")
@@ -227,7 +221,7 @@ def scale_location_barycenter(measures, weights=None,
 # ---------------------------------------------------------------------------
 
 
-def _fast_items(validator, items, instance, schema):
+def _fast_items(stock, validator, items, instance, schema):
     """`items` on a list of plain numbers: the validator's type rule on each entry (on
     one per type for the type-only "number"); anything else, or a failure, goes stock."""
     if items in ({"type": "number"}, {"type": "integer"}) and "prefixItems" not in schema \
@@ -236,20 +230,26 @@ def _fast_items(validator, items, instance, schema):
         probes = dict(zip(map(type, instance), instance)).values() if kind == "number" else instance
         if all(validator.TYPE_CHECKER.is_type(x, kind) for x in probes):
             return
-    yield from Draft202012Validator.VALIDATORS["items"](validator, items, instance, schema)
+    yield from stock(validator, items, instance, schema)
 
 
 @functools.cache
 def _report_validator():
-    """The report schema's validator, checked and built once."""
+    """The report schema's validator, checked and built once.  jsonschema is
+    imported here, so only the commands that validate a report load it."""
+    from jsonschema import Draft202012Validator, validators
+
     schema = json.loads((resources.files("bwbary") / "schemas" / f"{SCHEMA_NAME}.json").read_text())
-    cls = jsonschema.validators.extend(Draft202012Validator, {"items": _fast_items})
+    stock = Draft202012Validator.VALIDATORS["items"]
+    cls = validators.extend(Draft202012Validator, {"items": functools.partial(_fast_items, stock)})
     cls.check_schema(schema)
     return cls(schema)
 
 
 def validate_report(data: dict) -> None:
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(data))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_report_validator().iter_errors(data))
     if error is not None:
         raise ValidationError(f"report does not match {SCHEMA_NAME}: {error.message}")
 

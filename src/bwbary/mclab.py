@@ -20,10 +20,11 @@ from .exceptions import (
     ValidationError,
 )
 from .geometry import bw_distance
-from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _clipped_sqrt, _inv_sqrt,
+from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _as_array, _clipped_sqrt, _inv_sqrt,
                         _spectral, hermitian_part, standard_basis)
-from .inference import estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
-    sample_limit_dbw, studentized_statistic
+from .inference import _studentize, estimate_f_hat, estimate_sigma_hat, estimate_xi_hat, \
+    sample_limit_dbw
+from .io import SCHEMA_NAME
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +53,7 @@ def _worker_count() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ValidationError(f"BWB_THREADS={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _map_ordered(fn, items):
@@ -106,8 +107,8 @@ class ExperimentConfig:
     limit_draws: int = 10000
     histogram_bins: int = 40
     kde_grid_points: int = 256
-    solver_max_iter: int = 500
-    solver_tol: float = 1e-10
+    solver_max_iter: int = SolverConfig.max_iter
+    solver_tol: float = SolverConfig.tol_residual
 
     def __post_init__(self):
         self.eig_law = _checked_law(self.d, self.eig_law, self.u_mode)
@@ -206,25 +207,25 @@ def _replicate_draw(config: ExperimentConfig, pool: SampleSet, n: int,
 def _population(config: ExperimentConfig):
     pool = _draw_set(config, config.pop_proxy_size, derive_rng(config.seed, _DOMAIN_PROXY))
     constraint = _experiment_basis(config) if config.constraint else None
-    cfg = SolverConfig(max_iter=config.solver_max_iter, tol_residual=1e-10)
-    result = solve_barycenter(pool, constraint=constraint, config=cfg)
+    result = solve_barycenter(pool, constraint=constraint,
+                              config=SolverConfig(max_iter=config.solver_max_iter))
     return result.barycenter, result.variance, pool
 
 
 def population_proxy(config: ExperimentConfig):
     """Large-sample stand-in (Q*, V*) for the population barycenter.
 
-    Solved to residual 1e-10 from pop_proxy_size fresh draws of the configured
-    law, on the stream derive_rng(seed, 0).
+    Solved to the default `SolverConfig.tol_residual` from pop_proxy_size
+    fresh draws of the configured law, on the stream derive_rng(seed, 0).
     """
     return _population(config)[:2]
 
 
 def _report(kind: str, config: ExperimentConfig, q_star: PsdMatrix, v_star: float,
             per_n: list, **tail) -> dict:
-    """The report_schema_v1 document of one experiment; tail is its
-    limit_samples (clt) or rates (concentration)."""
-    return {"schema": "report_schema_v1", "kind": kind, "config": config.to_dict(),
+    """The SCHEMA_NAME document of one experiment; tail is its limit_samples
+    (clt) or rates (concentration)."""
+    return {"schema": SCHEMA_NAME, "kind": kind, "config": config.to_dict(),
             "population": {"q_star": q_star.array.tolist(), "v_star": v_star},
             "per_n": per_n, **tail}
 
@@ -241,17 +242,6 @@ def _summarize(values: np.ndarray, limit: np.ndarray | None, config: ExperimentC
         summary["kde"] = None
     summary["ks_limit"] = ks_distance(values, limit) if limit is not None else None
     return summary
-
-
-def _replicate_inference(ss: SampleSet, q_n: PsdMatrix, q_star: PsdMatrix,
-                         basis: SubspaceBasis):
-    try:
-        sigma = estimate_sigma_hat(ss, q_n, basis)
-        f_hat = estimate_f_hat(ss, q_n, basis)
-        xi = estimate_xi_hat(sigma, f_hat)
-        return studentized_statistic(q_n, q_star, xi, basis, len(ss)).tolist()
-    except DegenerateCovarianceError:
-        return None
 
 
 def _replicated(config: ExperimentConfig, pool: SampleSet, basis: SubspaceBasis,
@@ -329,11 +319,15 @@ def run_clt_experiment(config: ExperimentConfig) -> dict:
     def stats(n, ss, result):
         q_n = result.barycenter
         root_n = np.sqrt(float(n))
+        try:
+            student = _studentize(ss, q_n, q_star, basis)[3].tolist()
+        except DegenerateCovarianceError:
+            student = None
         return {
             "fnorm": float(root_n * np.linalg.norm(q_n.array - q_star.array)),
             "dbw": float(root_n * bw_distance(q_n, q_star)),
             "variance": float(root_n * (result.variance - v_star)),
-            "studentized": _replicate_inference(ss, q_n, q_star, basis),
+            "studentized": student,
         }
 
     def summarize(ok):
@@ -379,12 +373,9 @@ def run_concentration_experiment(config: ExperimentConfig) -> dict:
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov sup-distance of the empirical CDFs."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    a, b = (_as_array(x, "ks_distance input", real=True).ravel() for x in (a, b))
     if a.size == 0 or b.size == 0:
         raise ValidationError("ks_distance requires nonempty samples")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError("ks_distance requires finite samples")
     a, b = np.sort(a), np.sort(b)
     both = np.concatenate([a, b])
     gap = np.searchsorted(a, both, side="right") / a.size \
@@ -400,11 +391,9 @@ def empirical_density(sample, grid_points: int = 256):
     sample degenerates to a unit-mass spike of width 1e-9 |center|, floored
     where its height 1 / width would overflow (a spike at 0 takes the floor).
     """
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    x = _as_array(sample, "empirical_density input", real=True).ravel()
     if x.size < 2:
         raise ValidationError("empirical_density requires at least 2 points")
-    if not np.isfinite(x).all():
-        raise ValidationError("empirical_density requires finite samples")
     _check_count("grid_points", grid_points, low=2)
     std = float(np.std(x))
     if std == 0.0:

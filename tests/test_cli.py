@@ -72,6 +72,35 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_only_report_commands_load_jsonschema(self, workdir):
+        # a fresh interpreter runs the four commands that write no report and
+        # lists the jsonschema modules they loaded, then runs simulate, which
+        # validates its report and so must load it
+        cfg = {"kind": "concentration", "d": 2, "n_grid": [3, 4], "replicates": 2,
+               "pop_proxy_size": 40, "seed": 5}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        runs = [["infer", workdir / "rich.mat", "--qstar", workdir / "q.mat"],
+                ["distance", workdir / "q.mat", workdir / "s.mat"],
+                ["map", workdir / "q.mat", workdir / "s.mat", "--out", workdir / "t.mat"],
+                ["barycenter", workdir / "rich.mat", "--out", workdir / "b.mat"]]
+        simulate = ["simulate", "--config", workdir / "cfg.json", "--out", workdir / "rep.json"]
+        script = (
+            "import contextlib, io, sys\n"
+            "from bwbary.cli import main\n"
+            f"for argv in {[[str(a) for a in run] for run in runs + [simulate]]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n")
+        src = str(Path(bwbary.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *before, after = proc.stdout.splitlines()
+        assert before == ["[]"] * len(runs)
+        assert "'jsonschema'" in after
+
 
 class TestDistance:
     def test_basic(self, workdir, capsys):

@@ -18,7 +18,8 @@ from bwbary import (
     run_concentration_experiment,
 )
 from bwbary import barycenter, mclab
-from bwbary.mclab import _DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw
+from bwbary.mclab import (_DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw,
+                          _worker_count)
 
 from helpers import count_decompositions, matrix_count
 
@@ -183,6 +184,15 @@ class TestCltExperiment:
             else:
                 os.environ["BWB_THREADS"] = old
         assert serial == threaded
+
+    def test_worker_count_honours_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one core runs one worker, whatever cpu_count says
+        monkeypatch.delenv("BWB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _worker_count() == 1
+        monkeypatch.setenv("BWB_THREADS", "3")
+        assert _worker_count() == 3
 
     def test_replicate_streams_are_prefix_stable(self):
         # replicate k's record depends only on (seed, n, k), not on the count

@@ -6,7 +6,7 @@ hypothesis draws; example counts are small so the suite stays fast.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bwbary import (
     SampleSet,
@@ -14,6 +14,7 @@ from bwbary import (
     ValidationError,
     bw_distance,
     bw_distance_sq,
+    clt_report,
     estimate_f_hat,
     estimate_sigma_hat,
     estimate_xi_hat,
@@ -197,6 +198,48 @@ def test_complex_mode_matches_its_realification(rule, seed, n, d):
     eta = eta_n_diagnostic(ss, q, full)[0]
     assert eta_n_diagnostic(real, _realify(q), realified(full))[0] == pytest.approx(
         np.sqrt(2.0) * eta, rel=1e-9)
+
+
+def _realified_basis(basis):
+    """The basis R(B_k) / sqrt 2 of R(M), anchored at R(Q0) where M has an anchor."""
+    anchor = None if basis.anchor is None else _realify(basis.anchor.array)
+    return SubspaceBasis(_realify(basis.basis) / np.sqrt(2.0), mode="real", anchor=anchor)
+
+
+@pytest.mark.parametrize("kind", ["full", "traceless"])
+@FEW
+@given(seed=seeds, d=st.integers(1, 4))
+def test_clt_operators_match_their_realification(kind, seed, d):
+    # On R(B_k) / sqrt 2, F-hat keeps its matrix, while the coordinates of
+    # T - I grow by sqrt 2: Sigma-hat and Xi-hat double, and the studentized
+    # coordinates are unchanged.  The traceless kind is the trace-one slice,
+    # anchored at R(I/d)
+    assume(kind == "full" or d > 1)
+    rng = np.random.default_rng(seed)
+    mats = np.stack([rand_spd(rng, d, 0.2, 5.0, True) for _ in range(2 * d * d + 2)])
+    q_ref = rand_spd(rng, d, 0.2, 5.0, True)
+    if kind == "traceless":
+        mats /= np.real(np.trace(mats, axis1=1, axis2=2))[:, None, None]
+        q_ref /= np.trace(q_ref).real
+    basis = standard_basis(d, mode="complex", kind=kind)
+    real_basis = _realified_basis(basis)
+    ss, real = SampleSet(mats, mode="complex"), SampleSet(_realify(mats), mode="real")
+    report = clt_report(ss, q_ref, basis)
+    embedded = clt_report(real, _realify(q_ref), real_basis)
+    # at one base point the estimators agree to roundoff
+    q_n = report.q_hat.array
+    sigma = estimate_sigma_hat(real, _realify(q_n), real_basis)
+    f_hat = estimate_f_hat(real, _realify(q_n), real_basis)
+    assert _close(sigma.matrix, 2.0 * report.sigma_hat.matrix, rel=1e-12)
+    assert _close(f_hat.matrix, report.f_hat.matrix, rel=1e-12)
+    assert _close(estimate_xi_hat(sigma, f_hat).matrix, 2.0 * report.xi_hat.matrix, rel=1e-11)
+    # the two reports solve separately, so they agree to the solver's tolerance
+    assert _close(embedded.q_hat.array, _realify(q_n), rel=1e-8)
+    assert _close(embedded.sigma_hat.matrix, 2.0 * report.sigma_hat.matrix, rel=1e-8)
+    assert _close(embedded.f_hat.matrix, report.f_hat.matrix, rel=1e-8)
+    assert _close(embedded.xi_hat.matrix, 2.0 * report.xi_hat.matrix, rel=1e-8)
+    scale = max(1.0, float(np.max(np.abs(report.studentized))))
+    assert np.max(np.abs(embedded.studentized - report.studentized)) <= 1e-7 * scale
 
 
 positive_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
