@@ -5,7 +5,6 @@ fixed-point map and affine Newton; plus the Fréchet variance."""
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,10 @@ from .exceptions import (
     DimensionMismatchError,
     PositivityLossError,
     ValidationError,
+    _as_float,
+    _check_count,
     _finite,
+    _instance,
 )
 from .geometry import TransportPrep, _f_hat_from_prep, _transport_stack
 from .hermitian import (
@@ -56,7 +58,7 @@ class SampleSet:
     __slots__ = ("array", "weights", "mode", "roots", "_w", "_prep")
 
     def __init__(self, matrices, weights=None, mode=None):
-        if not isinstance(matrices, np.ndarray):
+        if np.iterable(matrices) and not isinstance(matrices, np.ndarray):
             matrices = [m.array if isinstance(m, PsdMatrix) else m for m in matrices]
         stack, mode, eigs, vecs = _psd_stack(matrices, mode)
         n = stack.shape[0]
@@ -135,27 +137,6 @@ def as_sample_set(value) -> SampleSet:
     return value if isinstance(value, SampleSet) else SampleSet(value)
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """isinstance(value, kind), with bool (JSON's true and false) excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, low: int = 1) -> None:
-    if not _is_number(value, numbers.Integral) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _as_float(name: str, value) -> float:
-    """float(value) for a real number; one that is not, or an integer beyond
-    the float range (where float() raises OverflowError), is a ValidationError."""
-    if not _is_number(value):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is beyond the float range") from None
-
-
 @dataclass
 class SolverConfig:
     """Iteration budget and residual tolerance for the barycenter solver."""
@@ -165,9 +146,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_count("max_iter", self.max_iter)
-        if not _is_number(self.tol_residual) or not 0 < self.tol_residual < np.inf:
-            raise ValidationError(
-                f"tol_residual must be a finite number > 0, got {self.tol_residual!r}")
+        _as_float("tol_residual", self.tol_residual, positive=True)
 
 
 @dataclass
@@ -187,7 +166,7 @@ def _at(samples, q, basis: SubspaceBasis | None = None, require_pd: bool = True)
     qm = as_psd(q, require_pd=require_pd)
     if qm.dim != ss.dim:
         raise DimensionMismatchError(f"dimensions differ: {qm.dim} vs {ss.dim}")
-    if basis is not None and basis.dim_ambient != ss.dim:
+    if basis is not None and _instance("basis", basis, SubspaceBasis).dim_ambient != ss.dim:
         raise DimensionMismatchError("basis ambient dimension does not match samples")
     return ss, qm
 
@@ -343,6 +322,7 @@ def solve_barycenter(
             "all samples are singular; the barycenter problem needs one with"
             " positive weight strictly inside the cone"
         )
-    if constraint is not None and constraint.dim_ambient != ss.dim:
+    if constraint is not None and \
+            _instance("constraint", constraint, SubspaceBasis).dim_ambient != ss.dim:
         raise DimensionMismatchError("constraint basis does not match sample dimension")
     return _solve(ss, constraint, cfg)

@@ -2,7 +2,11 @@
 
 Validation errors (bad inputs, malformed files) map to CLI exit code 1,
 numerical errors (non-convergence, degenerate covariances) to exit code 2.
+The scalar and object argument rules live here, below every other module.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -12,16 +16,7 @@ class BwError(Exception):
 
 
 class ValidationError(BwError):
-    """Invalid input: wrong shapes, broken invariants, malformed files.
-
-    A check over a stack of samples names the first failing one by its
-    position `index`; `reason` is the message without that location.
-    """
-
-    def __init__(self, reason, index=None):
-        super().__init__(reason if index is None else f"sample {index}: {reason}")
-        self.reason = reason
-        self.index = index
+    """Invalid input: wrong shapes, broken invariants, malformed files."""
 
 
 class NotHermitianError(ValidationError):
@@ -41,7 +36,7 @@ class DimensionMismatchError(ValidationError):
 
 
 class ParseError(ValidationError):
-    """Malformed bundle or config file."""
+    """Malformed bundle or config file, located as "path:line: " in the message."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -50,8 +45,6 @@ class ParseError(ValidationError):
         if line is not None:
             loc += f":{line}"
         super().__init__(f"{loc}: {message}" if loc else message)
-        self.path = path
-        self.line = line
 
 
 class DegenerateInputError(ValidationError):
@@ -60,6 +53,39 @@ class DegenerateInputError(ValidationError):
 
 class NumericalError(BwError):
     """A numerical procedure failed."""
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """isinstance(value, kind), with bool (JSON's true and false) excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    if not _is_number(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _as_float(name: str, value, positive: bool = False) -> float:
+    """float(value) for a finite real number, and > 0 with positive=True; any
+    other value, an integer beyond the float range (where float() raises
+    OverflowError) included, is a ValidationError."""
+    if not _is_number(value):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is beyond the float range") from None
+    if not math.isfinite(x) or (positive and x <= 0):
+        rule = "positive and finite" if positive else "finite"
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return x
+
+
+def _instance(name: str, value, cls):
+    """value, an object argument read by its attributes, if it is a cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _finite(value, what: str):

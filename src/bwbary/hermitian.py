@@ -15,6 +15,7 @@ from .exceptions import (
     NotPsdError,
     SingularMatrixError,
     ValidationError,
+    _check_count,
     _finite,
 )
 
@@ -64,13 +65,13 @@ def _parts(stack: np.ndarray) -> np.ndarray:
     return stack.view(np.float64).reshape(len(stack), -1)
 
 
-def _reject(bad: np.ndarray, error, reason: str, *values) -> None:
+def _reject(bad: np.ndarray, error, item: str, reason: str, *values) -> None:
     """Raise error for the first matrix flagged in bad, with reason formatted
-    from its entries of values; the index is kept when the stack has several."""
+    from its entries of values, named "{item} {i}: " when the stack has several."""
     if bad.any():
         i = int(np.argmax(bad))
-        raise error(reason.format(*(v[i] for v in values)),
-                    index=i if bad.size > 1 else None)
+        where = f"{item} {i}: " if bad.size > 1 else ""
+        raise error(where + reason.format(*(v[i] for v in values)))
 
 
 def _as_array(value, what: str = "entries", real: bool = False) -> np.ndarray:
@@ -93,12 +94,13 @@ def _as_array(value, what: str = "entries", real: bool = False) -> np.ndarray:
     return arr
 
 
-def _hermitian_stack(stack, mode=None):
+def _hermitian_stack(stack, mode=None, item="sample"):
     """The input policy up to symmetry, for an (n, d, d) stack.
 
     Infers the mode from the dtype, rejects non-numeric and non-finite entries
     and imaginary parts in real mode, and gates each matrix by ||A - A_h||_F <=
-    HERMITIAN_REL_TOL ||A||_F.  Returns (the stack of A_h = (A + A^*)/2, mode).
+    HERMITIAN_REL_TOL ||A||_F; a failing matrix is named as item i.  Returns
+    (the stack of A_h = (A + A^*)/2, mode).
     """
     stack = _as_array(stack, "matrix entries")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or 0 in stack.shape:
@@ -112,12 +114,12 @@ def _hermitian_stack(stack, mode=None):
     # Norms are taken in units of each matrix's largest real or imaginary
     # part, where they cannot overflow; a nonzero matrix then has norm >= 1.
     unit = np.abs(_parts(stack)).max(axis=1)
-    _reject(~np.isfinite(unit), ValidationError, "matrix has non-finite entries")
+    _reject(~np.isfinite(unit), ValidationError, item, "matrix has non-finite entries")
     unit[unit == 0] = 1.0
     norm = np.maximum(np.linalg.norm(_parts(stack) / unit[:, None], axis=1), 1.0)
     if mode == REAL and inferred == COMPLEX:
         imag = np.abs(stack.imag).max(axis=(1, 2)) / unit / norm
-        _reject(imag > HERMITIAN_REL_TOL, ValidationError,
+        _reject(imag > HERMITIAN_REL_TOL, ValidationError, item,
                 "complex entries in real-symmetric mode")
         stack = stack.real
     stack = np.ascontiguousarray(stack, dtype=np.complex128 if mode == COMPLEX else np.float64)
@@ -127,7 +129,7 @@ def _hermitian_stack(stack, mode=None):
         # A + A^* overflowed; at that scale halving first is exact.
         herm = np.where(np.isfinite(herm), herm, stack / 2 + _adjoint(stack) / 2)
     gap = np.linalg.norm(_parts(stack - herm) / unit[:, None], axis=1) / norm
-    _reject(gap > HERMITIAN_REL_TOL, NotHermitianError,
+    _reject(gap > HERMITIAN_REL_TOL, NotHermitianError, item,
             "matrix is not Hermitian: ||A - A_h||_F / ||A||_F = {:.3e}", gap)
     return herm, mode
 
@@ -148,7 +150,7 @@ def _psd_stack(stack, mode=None):
     herm, mode = _hermitian_stack(stack, mode)
     w, v = np.linalg.eigh(herm)
     eps = PSD_REL_TOL * np.maximum(w[:, -1], 0.0)
-    _reject(w[:, 0] < -eps, NotPsdError,
+    _reject(w[:, 0] < -eps, NotPsdError, "sample",
             "matrix is not PSD: lambda_min = {:.6e} < -{:.3e}", w[:, 0], eps)
     return herm, mode, w, v
 
@@ -230,12 +232,7 @@ class SubspaceBasis:
     __slots__ = ("basis", "mode", "anchor")
 
     def __init__(self, basis, mode=None, anchor=None):
-        try:
-            stack, mode = _hermitian_stack(basis, mode)
-        except ValidationError as exc:
-            if exc.index is None:
-                raise
-            raise type(exc)(f"basis element {exc.index}: {exc.reason}") from exc
+        stack, mode = _hermitian_stack(basis, mode, item="basis element")
         m, d = stack.shape[0], stack.shape[1]
         # more elements than the dimension of H(d) cannot be orthonormal
         gram = np.real(np.einsum("kab,lab->kl", np.conjugate(stack), stack))
@@ -301,8 +298,7 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
     d(d+1)/2 real); kind="traceless" replaces the diagonal block by a basis
     of zero-sum diagonals and anchors the affine set at I/d.
     """
-    if d < 1:
-        raise ValidationError("d must be >= 1")
+    _check_count("d", d)
     if mode not in (REAL, COMPLEX):
         raise ValidationError(f"unknown mode {mode!r}")
     if kind not in ("full", "traceless"):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import (SolverConfig, _as_float, _at, _check_count, _mean_map,
-                         frechet_variance, solve_barycenter)
-from .exceptions import DegenerateCovarianceError, DimensionMismatchError, ValidationError, _finite
+from .barycenter import SolverConfig, _at, _mean_map, frechet_variance, solve_barycenter
+from .exceptions import (DegenerateCovarianceError, DimensionMismatchError, ValidationError,
+                         _as_float, _check_count, _finite, _instance)
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
 from .hermitian import (
     PD_REL_TOL,
@@ -140,6 +140,7 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     if basis.dim_ambient != qm.dim or xi.dim_m != basis.dim_m:
         raise DimensionMismatchError("xi/basis dimensions do not match Q*")
     _check_count("count", count)
+    _instance("rng", rng, np.random.Generator)
     half = PsdMatrix(xi.matrix)._func(_clipped_sqrt)
     g = rng.standard_normal((xi.dim_m, count))
     coords = half @ g
@@ -149,14 +150,6 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
 
-def _reference(samples, q_ref, v_ref, basis: SubspaceBasis | None = None):
-    """The sample set and Q_ref from the gate, with v_ref finite or None."""
-    ss, qr = _at(samples, q_ref, basis, require_pd=False)
-    if v_ref is not None and not math.isfinite(_as_float("v_ref", v_ref)):
-        raise ValidationError(f"v_ref must be a finite number, got {v_ref!r}")
-    return ss, qr
-
-
 def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None = None):
     """Fréchet-variance CLT ingredients.
 
@@ -164,7 +157,8 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     barycenter, the centered statistic sqrt(n)(v_n - v_ref), and the weighted
     (population-form) variance of the squared distances d^2(Q_ref, S_i).
     """
-    ss, qr = _reference(samples, q_ref, v_ref)
+    ss, qr = _at(samples, q_ref, require_pd=False)
+    v_ref = _as_float("v_ref", v_ref)
     result = solve_barycenter(ss, config=config)
     stat = float(np.sqrt(len(ss)) * (result.variance - v_ref))
     d2 = ss.sq_distances(qr.array)
@@ -253,13 +247,12 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     The constraint is taken from the basis anchor when present.  v_ref
     defaults to the empirical variance at Q_ref.
     """
-    ss, qr = _reference(samples, q_ref, v_ref, basis)
+    ss, qr = _at(samples, q_ref, basis, require_pd=False)
+    v_ref = frechet_variance(qr, ss) if v_ref is None else _as_float("v_ref", v_ref)
     constraint = basis if basis.anchor is not None else None
     result = solve_barycenter(ss, constraint=constraint, config=config)
     q_n = result.barycenter
     sigma, f_hat, xi, student = _studentize(ss, q_n, qr, basis)
-    if v_ref is None:
-        v_ref = frechet_variance(qr, ss)
     n = len(ss)
     return CltReport(
         n=n,
@@ -281,12 +274,9 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
 
 
 def _positive(**values) -> list:
-    """The values as Python floats, each required to be 0 < x < inf; products
-    of Python floats overflow to inf, which `_finite` turns into an error."""
-    for name, value in values.items():
-        if not 0 < _as_float(name, value) < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    return [float(value) for value in values.values()]
+    """The values as positive finite Python floats; products of Python floats
+    overflow to inf, which `_finite` turns into an error."""
+    return [_as_float(name, value, positive=True) for name, value in values.items()]
 
 
 def compose_c_q(norm_q_star: float, sigma_t: float, lambda_min_f_prime: float) -> float:
@@ -326,7 +316,7 @@ def subexp_tail(nu: float, b: float, t: float) -> float:
     exponential regime above."""
     nu, b = _positive(nu=nu, b=b)
     t = _as_float("t", t)
-    if not t >= 0:
+    if t < 0:
         raise ValidationError(f"t must be nonnegative, got {t!r}")
     if t <= nu * nu / b:
         return float(np.exp(-t * t / (2.0 * nu * nu)))

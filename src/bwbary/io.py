@@ -91,8 +91,7 @@ def load_bundle(path) -> SampleSet:
     try:
         return SampleSet(stack, weights=weights, mode=mode)
     except ValidationError as exc:
-        where = "" if exc.index is None else f"matrix {exc.index}: "
-        raise type(exc)(f"{path}: {where}{exc.reason}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_text(text: str, path: Path):

@@ -12,12 +12,15 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .barycenter import SampleSet, SolverConfig, _as_float, _check_count, solve_barycenter
+from .barycenter import SampleSet, SolverConfig, solve_barycenter
 from .exceptions import (
     DegenerateCovarianceError,
     ExperimentFailureError,
     NumericalError,
     ValidationError,
+    _as_float,
+    _check_count,
+    _instance,
 )
 from .geometry import bw_distance
 from .hermitian import (PsdMatrix, REAL, SubspaceBasis, _as_array, _clipped_sqrt, _inv_sqrt,
@@ -43,6 +46,8 @@ TRACE_ONE = "traceless-trace1"
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent stream for (seed, key...) -- a pure function of its inputs,
     so permuting execution order cannot change any draw."""
+    for value in (seed, *key):
+        _check_count("seed and key entries", value, low=0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -69,10 +74,10 @@ def _checked_law(d, eig_law, u_mode) -> tuple:
     on eig_law = (a, b) with 0 < a <= b < inf, and frame u_mode; returns (a, b)."""
     _check_count("d", d)
     try:
-        a, b = (_as_float("eig_law", x) for x in eig_law)
+        a, b = (_as_float("eig_law", x, positive=True) for x in eig_law)
     except (TypeError, ValueError, ValidationError):
         a = b = math.nan
-    if not 0 < a <= b < math.inf:
+    if not a <= b:
         raise ValidationError(f"eig_law must be numbers 0 < a <= b < inf, got {eig_law!r}")
     if u_mode not in ("haar", "identity"):
         raise ValidationError(f"unknown u_mode {u_mode!r}")
@@ -176,6 +181,7 @@ def random_spd(d: int, eig_law, rng: np.random.Generator,
     R-diagonal signs fixed; u_mode="identity" is the commuting test hook.
     """
     a, b = _checked_law(d, eig_law, u_mode)
+    _instance("rng", rng, np.random.Generator)
     return PsdMatrix(_random_spd_draws(1, d, (a, b), rng, u_mode)[0][0], mode=REAL)
 
 

@@ -4,12 +4,14 @@ string, a ragged list and, where the entries must be real, a complex entry
 and a NaN.  Warnings are errors here, so no row may pass through a numpy
 warning on its way to the exception."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from bwbary import (
+    DegenerateCovarianceError,
     DimensionMismatchError,
     LocationScaleMeasure,
     OperatorOnM,
@@ -19,21 +21,28 @@ from bwbary import (
     SubspaceBasis,
     ValidationError,
     as_psd,
+    clt_report,
+    derive_rng,
     devectorize,
     empirical_density,
     estimate_xi_hat,
+    eta_n_diagnostic,
     ks_distance,
+    random_spd,
     sample_limit_dbw,
     solve_barycenter,
     standard_basis,
     studentized_statistic,
+    subexp_tail,
     transport_map,
+    variance_clt_stats,
     vectorize,
     w2_distance_sq,
 )
 from bwbary.mclab import _worker_count
 
 B2 = standard_basis(2)
+I2, I3 = np.eye(2), np.eye(3)
 TRACELESS2 = standard_basis(2, kind="traceless")
 E11 = np.array([[[1.0, 0.0], [0.0, 0.0]]])
 
@@ -63,7 +72,12 @@ ROWS = [
      DimensionMismatchError, "anchor dimension does not match basis"),
     ("vectorize-shape", lambda: vectorize(B2, np.eye(3)),
      DimensionMismatchError, "does not match ambient dimension 2"),
-    ("standard-basis-d0", lambda: standard_basis(0), ValidationError, "d must be >= 1"),
+    ("standard-basis-d0", lambda: standard_basis(0), ValidationError,
+     "d must be an integer >= 1"),
+    ("standard-basis-string-d", lambda: standard_basis("3"), ValidationError,
+     "d must be an integer >= 1, got '3'"),
+    ("standard-basis-float-d", lambda: standard_basis(2.5), ValidationError,
+     "d must be an integer >= 1, got 2.5"),
     ("standard-basis-mode", lambda: standard_basis(2, mode="bogus"),
      ValidationError, "unknown mode 'bogus'"),
     ("standard-basis-kind", lambda: standard_basis(2, kind="bogus"),
@@ -95,6 +109,40 @@ ROWS = [
      ValidationError, "operator matrix must be real numbers"),
     ("devectorize-nan", lambda: devectorize(B2, [np.nan, 0.0, 0.0]),
      ValidationError, "coordinates has non-finite entries"),
+    # object arguments, which are read by their attributes
+    ("random-spd-rng", lambda: random_spd(2, (1, 2), None),
+     ValidationError, "rng must be a Generator, got NoneType"),
+    ("limit-sampler-rng", lambda: sample_limit_dbw(I2, OperatorOnM(B2, I3), B2, 3, None),
+     ValidationError, "rng must be a Generator, got NoneType"),
+    ("clt-report-basis", lambda: clt_report([2 * I2, I2], I2, "x"),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("solver-constraint", lambda: solve_barycenter([I2], constraint="x"),
+     ValidationError, "constraint must be a SubspaceBasis, got str"),
+    # a scalar where a stack of matrices belongs
+    ("sample-set-scalar", lambda: SampleSet(2.5),
+     DimensionMismatchError, "expected nonempty square matrices, got shape ()"),
+    ("solver-scalar", lambda: solve_barycenter(2.5),
+     DimensionMismatchError, "expected nonempty square matrices, got shape ()"),
+    # seeds and scalar references
+    ("rng-seed-string", lambda: derive_rng("x"),
+     ValidationError, "seed and key entries must be an integer >= 0, got 'x'"),
+    ("rng-seed-negative", lambda: derive_rng(-1),
+     ValidationError, "seed and key entries must be an integer >= 0, got -1"),
+    ("rng-key-negative", lambda: derive_rng(0, 1, -1),
+     ValidationError, "seed and key entries must be an integer >= 0, got -1"),
+    ("variance-clt-no-reference", lambda: variance_clt_stats(SampleSet([I2, 2 * I2]), I2, None),
+     ValidationError, "v_ref must be a number, got None"),
+    ("subexp-tail-infinite-t", lambda: subexp_tail(1, 1, math.inf),
+     ValidationError, "t must be finite, got inf"),
+    # error exits of the library that no other test reaches
+    ("devectorize-length", lambda: devectorize(B2, [1.0, 2.0]),
+     DimensionMismatchError, "coordinate length (2,) does not match basis size 3"),
+    ("anchor-mode", lambda: SubspaceBasis(
+        B2.basis, mode="real", anchor=PsdMatrix(np.eye(2, dtype=complex))),
+     DimensionMismatchError, "expected mode 'real', got 'complex'"),
+    ("eta-singular-f-prime", lambda: eta_n_diagnostic(
+        [np.diag([1.0, 0.0]), np.diag([2.0, 0.0])], I2, B2),
+     DegenerateCovarianceError, "F' is singular"),
 ]
 
 # Each array argument that passes the one conversion, as (row label, its name

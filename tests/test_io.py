@@ -91,7 +91,7 @@ class TestBundleValidation:
             "1.0 0.0\n0.0 1.0\n"
             "1.0 0.5\n0.0 1.0\n"
         )
-        with pytest.raises(ValidationError, match="matrix 1"):
+        with pytest.raises(ValidationError, match="sample 1"):
             load_bundle(path)
 
     @pytest.mark.parametrize("first, second", [
@@ -101,7 +101,7 @@ class TestBundleValidation:
     def test_asymmetry_gated_per_matrix(self, tmp_path, first, second):
         path = tmp_path / "bad.mat"
         path.write_text(f"BWB v1 2 real 2\n{first}\n{second}\n")
-        with pytest.raises(NotHermitianError, match="matrix 1"):
+        with pytest.raises(NotHermitianError, match="sample 1"):
             load_bundle(path)
 
     def test_weights_error_carries_sum(self, tmp_path):

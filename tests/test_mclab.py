@@ -5,6 +5,7 @@ import pytest
 
 from bwbary import (
     ConvergenceError,
+    DegenerateCovarianceError,
     ExperimentFailureError,
     ValidationError,
     bw_distance,
@@ -16,6 +17,7 @@ from bwbary import (
     random_spd,
     run_clt_experiment,
     run_concentration_experiment,
+    save_report,
 )
 from bwbary import barycenter, mclab
 from bwbary.mclab import (_DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw,
@@ -274,6 +276,23 @@ class TestCltExperiment:
         monkeypatch.setattr(mclab, "solve_barycenter", failing)
         with pytest.raises(ExperimentFailureError, match="6/6 replicates failed at n=3"):
             run_clt_experiment(small_config())
+
+    def test_degenerate_population_xi_keeps_the_variance_limit(self, monkeypatch, caplog,
+                                                                tmp_path):
+        def degenerate(sigma, f_hat):
+            raise DegenerateCovarianceError("F-hat is singular; cannot invert")
+
+        monkeypatch.setattr(mclab, "estimate_xi_hat", degenerate)
+        with caplog.at_level("WARNING", logger="bwbary.mclab"):
+            report = run_clt_experiment(small_config())
+        assert "population xi is degenerate" in caplog.text
+        assert list(report["limit_samples"]) == ["variance"]
+        for block in report["per_n"]:
+            summaries = block["summaries"]
+            assert summaries["fnorm"]["ks_limit"] is None
+            assert summaries["dbw"]["ks_limit"] is None
+            assert summaries["variance"]["ks_limit"] is not None
+        save_report(report, tmp_path / "report.json")  # still a schema-valid report
 
 
 class TestConcentrationExperiment:
