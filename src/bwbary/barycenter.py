@@ -205,53 +205,47 @@ def _stalled(reason: str, res: float, iterations: int) -> ConvergenceError:
                             iterations=iterations)
 
 
-def _ridge_to_pd(anchor, basis, ss):
-    """Move the anchor inside the PD cone along Pi_M(tau I - Q0), doubling the
-    ridge, in the anchor's units: tau = tr Q0 / d, or the samples' mean trace
-    / d when Q0 = 0."""
-    d = ss.dim
-    q0 = anchor.array.astype(ss.array.dtype)
-    tau = (anchor.trace or ss.mean_trace) / d
-    direction = project_subspace(basis, tau * np.eye(d, dtype=q0.dtype) - q0)
-    if np.linalg.norm(direction) < 1e-14 * tau:
-        raise PositivityLossError("anchor is singular and cannot be ridged inside A")
-    eps = 1e-3
-    for _ in range(MAX_STEP_HALVINGS):
-        candidate = hermitian_part(q0 + eps * direction)
-        if _is_pd(np.linalg.eigvalsh(candidate)):
+def _in_cone(ss: SampleSet, q) -> bool:
+    """Q > 0, read off the prep (Sylvester: S^{1/2} Q S^{1/2} has Q's inertia if S > 0)."""
+    return bool(ss.transport_prep(q).r[:, 0].any())
+
+
+def _ridge_to_pd(q0, basis, ss):
+    """The first strictly positive Q0 + eps Pi_M(tau I - Q0), eps = 0 then 1e-3 doubling,
+    in the anchor's units: tau = tr Q0 / d, or the mean trace / d when Q0 = 0."""
+    tau = (float(_trace(q0)) or ss.mean_trace) / ss.dim
+    direction = project_subspace(basis, tau * np.eye(ss.dim, dtype=q0.dtype) - q0)
+    for k in range(-1, MAX_STEP_HALVINGS):
+        candidate = q0 if k < 0 else hermitian_part(q0 + 1e-3 * 2.0 ** k * direction)
+        if _in_cone(ss, candidate):
             return candidate
-        eps *= 2.0
+        if k < 0 and np.linalg.norm(direction) < 1e-14 * tau:
+            raise PositivityLossError("anchor is singular and cannot be ridged inside A")
     raise PositivityLossError("could not find a strictly positive point in A")
 
 
 def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> BarycenterResult:
-    """One loop for both step rules, evaluated at each iterate's transport prep.
-
-    Without a basis it runs the fixed-point map Q <- T Q T from the weighted
-    mean, T = sum_i w_i T_Q^{S_i}.  With one it runs damped Newton on A = Q0 +
-    M (Q0 the anchor, the weighted mean by default) from Q0 + Pi_M(R^2 - Q0),
-    or Q0, with the Hessian F = -sum_i w_i dT_i in M-coordinates; steps halve
-    until the iterate stays strictly positive and the variance passes the
-    Armijo test.
+    """One loop for both step rules of `solve_barycenter`, evaluated at each
+    iterate's transport prep, which also says whether the iterate is strictly
+    positive (`_in_cone`).  Newton's Hessian is F = -sum_i w_i dT_i in
+    M-coordinates; its steps halve until the iterate stays strictly positive
+    and the variance passes the Armijo test.
     """
     rule = "fixed-point" if basis is None else "affine-newton"
     mean_trace = ss.mean_trace
     q = hermitian_part(np.einsum("n,nij->ij", ss.weights, ss.array))
     if basis is not None:
-        anchor = basis.anchor or PsdMatrix(q, mode=ss.mode)
+        anchor = q if basis.anchor is None else basis.anchor.array
         root_mean = np.einsum("n,nij->ij", ss.weights, ss.roots)
         start = q if np.count_nonzero(ss.weights) == 1 else root_mean @ root_mean
-        q = hermitian_part(anchor.array + project_subspace(basis, start - anchor.array))
-        if not _is_pd(np.linalg.eigvalsh(q)):
-            if anchor.is_strictly_positive():
-                q = anchor.array.astype(ss.array.dtype)
-            else:
-                q = _ridge_to_pd(anchor, basis, ss)
+        q = hermitian_part(anchor + project_subspace(basis, start - anchor))
+        if not _in_cone(ss, q):
+            q = _ridge_to_pd(anchor.astype(ss.array.dtype), basis, ss)
     previous = np.inf  # the last iterate's variance
     for it in range(cfg.max_iter + 1):
-        if basis is None and not _is_pd(np.linalg.eigvalsh(q)):
+        if basis is None and not _in_cone(ss, q):
             raise PositivityLossError("fixed-point iterate lost strict positivity")
-        prep = ss.transport_prep(q)  # a hit when a Newton step was accepted
+        prep = ss.transport_prep(q)  # a hit after the test, the start or a Newton step
         mean_t, coords = _mean_map(prep, ss.weights, basis)
         res = float(np.linalg.norm(coords))
         variance = _variance_at(q, prep.r, ss.weights, mean_trace)
@@ -280,14 +274,13 @@ def _solve(ss: SampleSet, basis: SubspaceBasis | None, cfg: SolverConfig) -> Bar
         # up to roundoff
         bound = variance + VARIANCE_REL_SLACK * mean_trace
         slope = ARMIJO_FRACTION * float(coords @ delta)
-        step = 1.0
-        for _ in range(MAX_STEP_HALVINGS):
+        for k in range(MAX_STEP_HALVINGS):
+            step = 0.5 ** k
             candidate = hermitian_part(q + step * direction)
-            if _is_pd(np.linalg.eigvalsh(candidate)):
+            if _in_cone(ss, candidate):
                 r = ss.transport_prep(candidate).r
                 if _variance_at(candidate, r, ss.weights, mean_trace) <= bound - step * slope:
                     break
-            step /= 2.0
         else:
             raise _stalled(f"no acceptable Newton step after {MAX_STEP_HALVINGS} halvings",
                            res, it)
@@ -308,7 +301,8 @@ def solve_barycenter(
     as the constraint, Newton on all of H).  The fixed point starts at the
     weighted mean; from R^2 below it would save a prep only by stopping nearer
     the tolerance.  Newton starts at Q0 + Pi_M(R^2 - Q0) if that is strictly
-    positive, else at the anchor Q0 (by default the weighted mean).  R^2 =
+    positive, else at the anchor Q0 (by default the weighted mean), ridged into
+    the cone along Pi_M(tau I - Q0) if it is singular.  R^2 =
     (sum_i w_i S_i^{1/2})^2 is the barycenter of commuting samples, or the
     sample when one weight is positive ((S^{1/2})^2 is S only up to roundoff).
     Both rules evaluate each iterate through the sample set's prep, so

@@ -1,8 +1,8 @@
 """Command-line surface: distance | map | barycenter | infer | simulate | envelope.
 
 A thin shell over the library; every number printed here is reproducible by
-the corresponding direct call.  Exit codes: 0 success, 1 validation/parse
-error, 2 numerical failure.
+the corresponding direct call.  Exit codes: 0 success (and --help), 1
+validation/parse error or a bad command line, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -215,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is bad input: exit 1, not argparse's 2
+        return 1 if exc.code else 0
     try:
         args.fn(args)
     except (BwError, OSError) as exc:

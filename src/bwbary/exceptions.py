@@ -2,11 +2,13 @@
 
 Validation errors (bad inputs, malformed files) map to CLI exit code 1,
 numerical errors (non-convergence, degenerate covariances) to exit code 2.
-The scalar and object argument rules live here, below every other module.
+The scalar, object and size rules for arguments live here, below every
+other module.
 """
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -84,8 +86,26 @@ def _as_float(name: str, value, positive: bool = False) -> float:
 def _instance(name: str, value, cls):
     """value, an object argument read by its attributes, if it is a cls."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(
+            f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+try:  # the ceiling on one requested array
+    MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, ValueError, OSError):  # no sysconf here: no ceiling
+    MEMORY_BYTES = math.inf
+
+
+def _check_size(what: str, entries: int, itemsize: int = 8) -> None:
+    """Refuse, before it is allocated, an array of `entries` items of `itemsize`
+    bytes that needs more than the physical memory, MEMORY_BYTES."""
+    nbytes = entries * itemsize
+    if nbytes > MEMORY_BYTES:
+        e = int(math.log10(nbytes))
+        raise ValidationError(f"{what} would need {nbytes / 10 ** e:.2f}e{e:+d} bytes, more "
+                              f"than the {MEMORY_BYTES} bytes of physical memory")
 
 
 def _finite(value, what: str):

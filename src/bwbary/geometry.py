@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NumericalError, _finite
+from .exceptions import DimensionMismatchError, NumericalError, _finite, _instance
 from .hermitian import (
     PD_REL_TOL,
     OperatorOnM,
@@ -123,7 +123,8 @@ def bw_gradient(q, s) -> np.ndarray:
 
 def operator_matrix(t: TransportMap, basis: SubspaceBasis) -> OperatorOnM:
     """Materialize dT of a transport map on M as the matrix <B_k, dT(B_l)>."""
-    if basis.dim_ambient != t.source.dim:
+    _instance("t", t, TransportMap)
+    if _instance("basis", basis, SubspaceBasis).dim_ambient != t.source.dim:
         raise DimensionMismatchError("basis ambient dimension does not match the map")
     return OperatorOnM(basis, -_f_hat_from_prep(t._prep, np.ones(1), basis.basis))
 

@@ -16,7 +16,9 @@ from .exceptions import (
     SingularMatrixError,
     ValidationError,
     _check_count,
+    _check_size,
     _finite,
+    _instance,
 )
 
 REAL = "real"
@@ -270,16 +272,17 @@ def _coords(basis: SubspaceBasis, mats: np.ndarray) -> np.ndarray:
 def vectorize(basis: SubspaceBasis, x) -> np.ndarray:
     """Coordinates v_k = <B_k, X> of (the projection of) X in the basis."""
     arr = x.array if isinstance(x, PsdMatrix) else _as_array(x, "matrix")
-    if arr.shape != (basis.dim_ambient, basis.dim_ambient):
+    d = _instance("basis", basis, SubspaceBasis).dim_ambient
+    if arr.shape != (d, d):
         raise DimensionMismatchError(
-            f"matrix shape {arr.shape} does not match ambient dimension {basis.dim_ambient}")
+            f"matrix shape {arr.shape} does not match ambient dimension {d}")
     return _coords(basis, arr)
 
 
 def devectorize(basis: SubspaceBasis, coords) -> np.ndarray:
     """Inverse of vectorize: sum_k v_k B_k, a Hermitian matrix in M."""
     v = _as_array(coords, "coordinates", real=True)
-    if v.shape != (basis.dim_m,):
+    if v.shape != (_instance("basis", basis, SubspaceBasis).dim_m,):
         raise DimensionMismatchError(
             f"coordinate length {v.shape} does not match basis size {basis.dim_m}"
         )
@@ -296,7 +299,8 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
 
     kind="full" spans all Hermitian matrices (m = d^2 complex,
     d(d+1)/2 real); kind="traceless" replaces the diagonal block by a basis
-    of zero-sum diagonals and anchors the affine set at I/d.
+    of zero-sum diagonals and anchors the affine set at I/d.  A basis whose m
+    d^2 entries need more than the physical memory is a ValidationError.
     """
     _check_count("d", d)
     if mode not in (REAL, COMPLEX):
@@ -306,6 +310,8 @@ def standard_basis(d: int, mode: str = REAL, kind: str = "full") -> SubspaceBasi
     if kind == "traceless" and d < 2:
         raise ValidationError("traceless basis requires d >= 2")
     dtype = np.complex128 if mode == COMPLEX else np.float64
+    _check_size("the basis", d ** 4 if mode == COMPLEX else d * (d + 1) // 2 * d * d,
+                np.dtype(dtype).itemsize)
     if kind == "full":
         diagonals = np.eye(d)
     else:  # Helmert rows k = 1..d-1: (e_1 + ... + e_k - k e_{k+1}) / sqrt(k (k + 1))
@@ -332,7 +338,7 @@ class OperatorOnM:
 
     def __init__(self, basis: SubspaceBasis, matrix):
         arr = _as_array(matrix, "operator matrix", real=True)
-        m = basis.dim_m
+        m = _instance("basis", basis, SubspaceBasis).dim_m
         if arr.shape != (m, m):
             raise DimensionMismatchError(
                 f"operator matrix shape {arr.shape} does not match basis size {m}"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .barycenter import SolverConfig, _at, _mean_map, frechet_variance, solve_barycenter
 from .exceptions import (DegenerateCovarianceError, DimensionMismatchError, ValidationError,
-                         _as_float, _check_count, _finite, _instance)
+                         _as_float, _check_count, _check_size, _finite, _instance)
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
 from .hermitian import (
     PD_REL_TOL,
@@ -57,7 +57,7 @@ def estimate_sigma_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     Materializes sum_i w_i (T_i - I) (x) (T_i - I) in basis coordinates, with
     T_i the optimal map from Q to S_i.  PSD by construction.
     """
-    ss, qm = _at(samples, q, basis)
+    ss, qm = _at(samples, q, _instance("basis", basis, SubspaceBasis))
     t = ss.transport_prep(qm.array).t
     coords = _coords(basis, t - np.eye(ss.dim, dtype=t.dtype))
     mat = np.einsum("n,nk,nl->kl", ss.weights, coords, coords)
@@ -70,7 +70,7 @@ def estimate_f_hat(samples, q, basis: SubspaceBasis) -> OperatorOnM:
     Positive definite whenever some sample is strictly positive.  The rescaled
     F' of `eta_n_diagnostic` has its generalized spectrum against a Gram matrix.
     """
-    ss, qm = _at(samples, q, basis)
+    ss, qm = _at(samples, q, _instance("basis", basis, SubspaceBasis))
     prep = ss.transport_prep(qm.array)
     return OperatorOnM(basis, _f_hat_from_prep(prep, ss.weights, basis.basis))
 
@@ -85,6 +85,8 @@ def _operator_power(op: OperatorOnM, f, rank_tol: float, what: str) -> np.ndarra
 
 def estimate_xi_hat(sigma_hat: OperatorOnM, f_hat: OperatorOnM) -> OperatorOnM:
     """Sandwich covariance F^{-1} Sigma F^{-1} of the barycenter estimator."""
+    _instance("sigma_hat", sigma_hat, OperatorOnM)
+    _instance("f_hat", f_hat, OperatorOnM)
     if not np.array_equal(sigma_hat.basis.basis, f_hat.basis.basis):
         raise ValidationError("sigma and F are materialized on different bases")
     f_inv = _operator_power(f_hat, np.reciprocal, PD_REL_TOL,
@@ -105,6 +107,8 @@ def studentized_statistic(q_n, q_ref, xi_hat: OperatorOnM, basis: SubspaceBasis,
     root_n = np.sqrt(_as_float("n", n))
     qn = as_psd(q_n)
     qr = as_psd(q_ref)
+    _instance("xi_hat", xi_hat, OperatorOnM)
+    _instance("basis", basis, SubspaceBasis)
     if qn.dim != qr.dim or qn.dim != basis.dim_ambient or xi_hat.dim_m != basis.dim_m:
         raise DimensionMismatchError("dimension mismatch between Q_n, Q_ref, Xi-hat, basis")
     diff = qn.array - qr.array
@@ -134,12 +138,16 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     """Draws of the distance-statistic limit ||Q*^{1/2} dT_{Q*}^{Q*}(Z)||_F.
 
     Z = devectorize(Xi^{1/2} g) with g standard normal on the m coordinates;
-    Xi passes the PSD gate of `PsdMatrix`.
+    Xi passes the PSD gate of `PsdMatrix`.  Draws that need more than the
+    physical memory (count d^2 entries) are a ValidationError.
     """
     qm = as_psd(q_star, require_pd=True)
+    _instance("xi", xi, OperatorOnM)
+    _instance("basis", basis, SubspaceBasis)
     if basis.dim_ambient != qm.dim or xi.dim_m != basis.dim_m:
         raise DimensionMismatchError("xi/basis dimensions do not match Q*")
     _check_count("count", count)
+    _check_size("the limit draws", count * qm.dim ** 2, basis.basis.itemsize)
     _instance("rng", rng, np.random.Generator)
     half = PsdMatrix(xi.matrix)._func(_clipped_sqrt)
     g = rng.standard_normal((xi.dim_m, count))
@@ -192,7 +200,7 @@ def eta_n_diagnostic(samples, q_star, basis: SubspaceBasis):
     bound = eta / (1 - 3 eta / 4) when eta < 4/3, else None.  The residual
     and F' read the prep at Q*, which a later `frechet_variance` at Q* reuses.
     """
-    ss, qm = _at(samples, q_star, basis)
+    ss, qm = _at(samples, q_star, _instance("basis", basis, SubspaceBasis))
     projected = devectorize(basis, _mean_map(ss.transport_prep(qm.array), ss.weights, basis)[1])
     q_root = qm._func(_clipped_sqrt)
     numerator = float(np.linalg.norm(q_root @ projected @ q_root))
@@ -247,7 +255,7 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     The constraint is taken from the basis anchor when present.  v_ref
     defaults to the empirical variance at Q_ref.
     """
-    ss, qr = _at(samples, q_ref, basis, require_pd=False)
+    ss, qr = _at(samples, q_ref, _instance("basis", basis, SubspaceBasis), require_pd=False)
     v_ref = frechet_variance(qr, ss) if v_ref is None else _as_float("v_ref", v_ref)
     constraint = basis if basis.anchor is not None else None
     result = solve_barycenter(ss, constraint=constraint, config=config)

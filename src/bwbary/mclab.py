@@ -20,6 +20,7 @@ from .exceptions import (
     ValidationError,
     _as_float,
     _check_count,
+    _check_size,
     _instance,
 )
 from .geometry import bw_distance
@@ -98,6 +99,9 @@ class ExperimentConfig:
     barycenter.  sampling="pool" resamples the proxy pool with replacement,
     making the pool's empirical law the population: Q*, V*, and the limiting
     covariances are then exact population quantities of the sampled law.
+    A config whose largest stack of draws (pop_proxy_size, limit_draws or the
+    largest n, of d^2 entries each) or basis needs more than the physical
+    memory is a ValidationError.
     """
 
     d: int
@@ -127,6 +131,8 @@ class ExperimentConfig:
         self.n_grid = tuple(int(n) for n in self.n_grid)
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValidationError("n_grid must be sorted ascending")
+        _check_size("the draws", max(self.pop_proxy_size, self.limit_draws, self.n_grid[-1])
+                    * self.d ** 2)
         _check_count("seed", self.seed, low=0)
         if self.constraint not in (None, TRACE_ONE):
             raise ValidationError(f"unknown constraint {self.constraint!r}")
@@ -178,10 +184,13 @@ def random_spd(d: int, eig_law, rng: np.random.Generator,
     """One draw U* diag(lam) U with lam_i ~ Unif[a, b] and Haar orthogonal U.
 
     The frame comes from QR orthonormalization of a Gaussian matrix with the
-    R-diagonal signs fixed; u_mode="identity" is the commuting test hook.
+    R-diagonal signs fixed; u_mode="identity" is the commuting test hook.  A
+    frame whose d^2 entries need more than the physical memory is a
+    ValidationError.
     """
     a, b = _checked_law(d, eig_law, u_mode)
     _instance("rng", rng, np.random.Generator)
+    _check_size("the drawn frame", d * d)
     return PsdMatrix(_random_spd_draws(1, d, (a, b), rng, u_mode)[0][0], mode=REAL)
 
 

@@ -384,6 +384,54 @@ class TestFixedPointReference:
         assert shapes == []
 
 
+def _record_ridge_starts(monkeypatch) -> list:
+    """Patch the solver's ridge loop to record every start it returns."""
+    starts = []
+
+    def spy(*args, _original=barycenter_module._ridge_to_pd):
+        starts.append(_original(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(barycenter_module, "_ridge_to_pd", spy)
+    return starts
+
+
+class TestOneDecompositionPerIterate:
+    """The solver reads strict positivity off the prep it evaluates anyway, so
+    it decomposes the (n, d, d) prep stacks and, once, the returned barycenter."""
+
+    @pytest.mark.parametrize("rule", ["fixed-point", "trace-one-newton"])
+    def test_only_preps_and_the_returned_gate(self, monkeypatch, rule):
+        rng = np.random.default_rng(3)
+        ss = SampleSet(density_samples(rng, 3, 6))
+        basis = standard_basis(3, kind="traceless") if rule == "trace-one-newton" else None
+        shapes = count_decompositions(monkeypatch)
+        result = solve_barycenter(ss, constraint=basis)
+        assert result.iterations >= 1 and result.residual <= 1e-10
+        assert len(shapes) >= 2
+        assert shapes[:-1] == [(6, 3, 3)] * (len(shapes) - 1)
+        assert shapes[-1] == (1, 3, 3)
+
+    def test_ridge_needs_an_eleventh_try(self, monkeypatch):
+        # A = diag(1, 1, 0) + span{B1, I/sqrt 3}: the ridge direction is rho B1,
+        # whose only entry on the null space of Q0 is rho^2 = 1.4e-12; so Q0 +
+        # eps rho B1 passes lambda_min > PD_REL_TOL lambda_max first at eps =
+        # 1.024 = 1e-3 2^10, the eleventh try after Q0 itself.  The samples'
+        # root mean lies outside the cone, so the start is ridged.
+        starts = _record_ridge_starts(monkeypatch)
+        rho = np.sqrt(1.4e-12)
+        w = np.sqrt((1.0 - 1.5 * rho ** 2) / 2.0)
+        b1 = np.array([[-rho / 2, w, 0.0], [w, -rho / 2, 0.0], [0.0, 0.0, rho]])
+        basis = SubspaceBasis(np.stack([b1, np.eye(3) / np.sqrt(3.0)]),
+                              anchor=np.diag([1.0, 1.0, 0.0]))
+        result = solve_barycenter(SampleSet([0.1 * np.eye(3), 0.2 * np.eye(3)]),
+                                  constraint=basis)
+        assert len(starts) == 1
+        assert np.linalg.eigvalsh(starts[0])[0] == pytest.approx(1.024 * rho ** 2, rel=1e-6)
+        assert result.residual <= 1e-10
+        assert result.barycenter.eigenvalues()[0] > 0.02
+
+
 class TestConstrainedSolver:
     def test_trace_one_density_matrices(self):
         rng = np.random.default_rng(14)
@@ -596,15 +644,9 @@ class TestSolverBranches:
 
     def test_start_fallbacks_reach_one_barycenter(self, monkeypatch):
         # traces far above 1 put the projected root mean outside the cone; the
-        # anchor I/3 is the start, or the singular anchor diag(1, 0, 0) ridged
-        # inside the cone, on the same affine set
-        ridged = []
-
-        def spy(*args, _original=barycenter_module._ridge_to_pd):
-            ridged.append(args)
-            return _original(*args)
-
-        monkeypatch.setattr(barycenter_module, "_ridge_to_pd", spy)
+        # ridge's first try, the anchor I/3 itself, is the start, or the singular
+        # anchor diag(1, 0, 0) ridged inside the cone, on the same affine set
+        starts = _record_ridge_starts(monkeypatch)
         rng = np.random.default_rng(0)
         ss = SampleSet([rand_spd(rng, 3, 1e-3, 50.0) for _ in range(4)])
         traceless = standard_basis(3, kind="traceless")
@@ -613,10 +655,10 @@ class TestSolverBranches:
         start = anchor + project_subspace(traceless, root_mean @ root_mean - anchor)
         assert np.linalg.eigvalsh(start)[0] < 0
         from_anchor = solve_barycenter(ss, constraint=traceless)
-        assert ridged == []
+        assert len(starts) == 1 and starts[0].tobytes() == anchor.tobytes()
         singular = SubspaceBasis(traceless.basis, anchor=np.diag([1.0, 0.0, 0.0]))
         from_ridge = solve_barycenter(ss, constraint=singular)
-        assert len(ridged) == 1
+        assert len(starts) == 2
         for result in (from_anchor, from_ridge):
             assert result.residual <= 1e-10
             assert abs(result.barycenter.trace - 1.0) <= 1e-12

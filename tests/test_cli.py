@@ -548,6 +548,31 @@ class TestBadInput:
         err = self._fails(capsys, 1, "barycenter", path, "--out", tmp_path / "out.mat")
         assert f"{path}:{index + 1}: bad entry {token!r}: " in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["distance"], "the following arguments are required: a, b"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["barycenter", "B", "--out", "X", "--max-iter", "abc"],
+         "argument --max-iter: invalid int value: 'abc'"),
+    ], ids=["no-subcommand", "distance-without-paths", "unknown-subcommand", "bad-int"])
+    def test_bad_command_line_is_exit_1(self, capsys, argv, message):
+        # argparse exits 2 on a usage error; here 2 means a numerical failure
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"error: {message}" in err and err.startswith("usage: bwbary")
+
+    def test_help_is_exit_0(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: bwbary")
+
+    def test_config_beyond_memory_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"d": 10 ** 30}))
+        err = self._fails(capsys, 1, "simulate", "--config", tmp_path / "cfg.json",
+                          "--out", tmp_path / "rep.json")
+        assert "the draws would need 1.60e+65 bytes, more than the" in err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_distance_on_two_matrix_bundle_is_exit_1(self, workdir, capsys):
         pair = workdir / "pair.mat"
         save_bundle(SampleSet([np.eye(2), 2.0 * np.eye(2)]), pair)

@@ -25,9 +25,13 @@ from bwbary import (
     derive_rng,
     devectorize,
     empirical_density,
+    estimate_f_hat,
+    estimate_sigma_hat,
     estimate_xi_hat,
     eta_n_diagnostic,
     ks_distance,
+    operator_matrix,
+    project_subspace,
     random_spd,
     sample_limit_dbw,
     solve_barycenter,
@@ -39,7 +43,7 @@ from bwbary import (
     vectorize,
     w2_distance_sq,
 )
-from bwbary.mclab import _worker_count
+from bwbary.mclab import ExperimentConfig, _worker_count
 
 B2 = standard_basis(2)
 I2, I3 = np.eye(2), np.eye(3)
@@ -118,6 +122,49 @@ ROWS = [
      ValidationError, "basis must be a SubspaceBasis, got str"),
     ("solver-constraint", lambda: solve_barycenter([I2], constraint="x"),
      ValidationError, "constraint must be a SubspaceBasis, got str"),
+    ("sigma-hat-no-basis", lambda: estimate_sigma_hat([2 * I2, I2], I2, None),
+     ValidationError, "basis must be a SubspaceBasis, got NoneType"),
+    ("f-hat-no-basis", lambda: estimate_f_hat([2 * I2, I2], I2, None),
+     ValidationError, "basis must be a SubspaceBasis, got NoneType"),
+    ("eta-no-basis", lambda: eta_n_diagnostic([2 * I2, I2], I2, None),
+     ValidationError, "basis must be a SubspaceBasis, got NoneType"),
+    ("clt-report-no-basis", lambda: clt_report([2 * I2, I2], I2, None),
+     ValidationError, "basis must be a SubspaceBasis, got NoneType"),
+    ("vectorize-basis", lambda: vectorize("x", I2),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("devectorize-basis", lambda: devectorize("x", [1.0, 0.0, 0.0]),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("project-basis", lambda: project_subspace("x", I2),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("operator-basis", lambda: OperatorOnM("x", I3),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("xi-sigma", lambda: estimate_xi_hat("x", OperatorOnM(B2, I3)),
+     ValidationError, "sigma_hat must be an OperatorOnM, got str"),
+    ("xi-f-hat", lambda: estimate_xi_hat(OperatorOnM(B2, I3), "x"),
+     ValidationError, "f_hat must be an OperatorOnM, got str"),
+    ("studentize-xi", lambda: studentized_statistic(I2, I2, "x", B2, 5),
+     ValidationError, "xi_hat must be an OperatorOnM, got str"),
+    ("studentize-basis", lambda: studentized_statistic(I2, I2, OperatorOnM(B2, I3), "x", 5),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("operator-matrix-map", lambda: operator_matrix("x", B2),
+     ValidationError, "t must be a TransportMap, got str"),
+    ("operator-matrix-basis", lambda: operator_matrix(_map(), "x"),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    ("limit-sampler-xi", lambda: sample_limit_dbw(I2, "x", B2, 3, np.random.default_rng(0)),
+     ValidationError, "xi must be an OperatorOnM, got str"),
+    ("limit-sampler-basis", lambda: sample_limit_dbw(
+        I2, OperatorOnM(B2, I3), "x", 3, np.random.default_rng(0)),
+     ValidationError, "basis must be a SubspaceBasis, got str"),
+    # sizes beyond any machine's memory, refused before numpy allocates
+    ("standard-basis-huge-d", lambda: standard_basis(10 ** 30),
+     ValidationError, "the basis would need 4.00e+120 bytes, more than the"),
+    ("random-spd-huge-d", lambda: random_spd(10 ** 30, (1, 2), np.random.default_rng(0)),
+     ValidationError, "the drawn frame would need 8.00e+60 bytes"),
+    ("limit-sampler-huge-count", lambda: sample_limit_dbw(
+        I2, OperatorOnM(B2, I3), B2, 10 ** 30, np.random.default_rng(0)),
+     ValidationError, "the limit draws would need 3.20e+31 bytes"),
+    ("experiment-huge-d", lambda: ExperimentConfig(d=10 ** 30),
+     ValidationError, "the draws would need 1.60e+65 bytes"),
     # a scalar where a stack of matrices belongs
     ("sample-set-scalar", lambda: SampleSet(2.5),
      DimensionMismatchError, "expected nonempty square matrices, got shape ()"),

@@ -487,6 +487,21 @@ class TestStudentized:
         with pytest.raises(DegenerateCovarianceError):
             studentized_statistic(np.eye(2), 2 * np.eye(2), xi, basis, 4)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_null_direction_is_relative_to_xi_rank_tol(self, scale):
+        # lambda_min = 10 XI_RANK_TOL lambda_max studentizes the last coordinate
+        # by sqrt(n) / sqrt(lambda_min); 0.1 XI_RANK_TOL lambda_max is a null direction
+        basis = standard_basis(2)
+        q_n = np.eye(2) + 1e-3 * basis.basis[2]
+        for ratio in (10.0, 0.1):
+            xi = OperatorOnM(basis, scale * np.diag([1.0, 1.0, ratio * XI_RANK_TOL]))
+            if ratio > 1.0:
+                got = studentized_statistic(q_n, np.eye(2), xi, basis, 4)
+                assert got == pytest.approx([0.0, 0.0, 2e-3 / np.sqrt(scale * 1e-9)], rel=1e-9)
+            else:
+                with pytest.raises(DegenerateCovarianceError, match="null direction"):
+                    studentized_statistic(q_n, np.eye(2), xi, basis, 4)
+
     @pytest.mark.parametrize("n", [0, -4, 2.5, True])
     def test_bad_sample_size_rejected(self, n):
         basis = standard_basis(2)

@@ -58,6 +58,15 @@ FAULTS = [
      'where = f"{item} {i}: " if bad.size > 1 else ""', 'where = ""'),
     ("instance-removed", "exceptions.py",
      "if not isinstance(value, cls):", "if False:"),
+    ("positivity-from-largest-root", "barycenter.py",
+     "return bool(ss.transport_prep(q).r[:, 0].any())",
+     "return bool(ss.transport_prep(q).r[:, -1].any())"),
+    ("hermitian-rel-tol", "hermitian.py",
+     "HERMITIAN_REL_TOL = 1e-10", "HERMITIAN_REL_TOL = 1e-8"),
+    ("psd-rel-tol", "hermitian.py",
+     "PSD_REL_TOL = 1e-10", "PSD_REL_TOL = 1e-8"),
+    ("xi-rank-tol", "inference.py",
+     "XI_RANK_TOL = 1e-10", "XI_RANK_TOL = 1e-8"),
 ]
 
 
