@@ -22,6 +22,8 @@ from .exceptions import (
 )
 from .geometry import TransportPrep, _f_hat_from_prep, _transport_stack
 from .hermitian import (
+    COMPLEX,
+    REAL,
     PsdMatrix,
     SubspaceBasis,
     _as_array,
@@ -316,7 +318,9 @@ def solve_barycenter(
             "all samples are singular; the barycenter problem needs one with"
             " positive weight strictly inside the cone"
         )
-    if constraint is not None and \
-            _instance("constraint", constraint, SubspaceBasis).dim_ambient != ss.dim:
-        raise DimensionMismatchError("constraint basis does not match sample dimension")
+    if constraint is not None:
+        if _instance("constraint", constraint, SubspaceBasis).dim_ambient != ss.dim:
+            raise DimensionMismatchError("constraint basis does not match sample dimension")
+        if (constraint.mode, ss.mode) == (COMPLEX, REAL):
+            raise DimensionMismatchError("a complex constraint basis needs complex samples")
     return _solve(ss, constraint, cfg)

@@ -91,8 +91,11 @@ class TransportMap:
             return _finite(self._prep.r[0] ** 2, "the spectrum of S^{1/2} Q S^{1/2}")
 
     def push_forward_error(self) -> float:
+        """||T Q T - S||_F, taken in units of the largest entry so that no square overflows."""
         t = self.matrix.array
-        return float(np.linalg.norm(t @ self.source.array @ t - self.target.array))
+        gap = t @ self.source.array @ t - self.target.array
+        scale = float(np.max(np.abs(gap)))
+        return scale * float(np.linalg.norm(gap / scale)) if scale > 0.0 else 0.0
 
     def apply(self, x) -> np.ndarray:
         """Raw differential dT applied to a Hermitian perturbation X."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import SolverConfig, _at, _mean_map, frechet_variance, solve_barycenter
+from .barycenter import _at, _mean_map, frechet_variance, solve_barycenter
 from .exceptions import (DegenerateCovarianceError, DimensionMismatchError, ValidationError,
                          _as_float, _check_count, _check_size, _finite, _instance)
 from .geometry import _dt_apply, _f_hat_from_prep, _transport_stack, bw_distance
@@ -158,7 +158,7 @@ def sample_limit_dbw(q_star, xi: OperatorOnM, basis: SubspaceBasis, count: int,
     return np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
 
 
-def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None = None):
+def variance_clt_stats(samples, q_ref, v_ref: float):
     """Fréchet-variance CLT ingredients.
 
     Returns (v_n, stat, var_hat): the empirical variance at the solved
@@ -167,7 +167,7 @@ def variance_clt_stats(samples, q_ref, v_ref: float, config: SolverConfig | None
     """
     ss, qr = _at(samples, q_ref, require_pd=False)
     v_ref = _as_float("v_ref", v_ref)
-    result = solve_barycenter(ss, config=config)
+    result = solve_barycenter(ss)
     stat = float(np.sqrt(len(ss)) * (result.variance - v_ref))
     d2 = ss.sq_distances(qr.array)
     mean = float(np.dot(ss.weights, d2))
@@ -248,8 +248,7 @@ def sigma_perturbation_bound(samples, q_star, q_n):
     return lhs, rhs
 
 
-def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
-               config: SolverConfig | None = None) -> CltReport:
+def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None) -> CltReport:
     """Solve the barycenter of the samples and studentize it against Q_ref.
 
     The constraint is taken from the basis anchor when present.  v_ref
@@ -258,7 +257,7 @@ def clt_report(samples, q_ref, basis: SubspaceBasis, v_ref: float | None = None,
     ss, qr = _at(samples, q_ref, _instance("basis", basis, SubspaceBasis), require_pd=False)
     v_ref = frechet_variance(qr, ss) if v_ref is None else _as_float("v_ref", v_ref)
     constraint = basis if basis.anchor is not None else None
-    result = solve_barycenter(ss, constraint=constraint, config=config)
+    result = solve_barycenter(ss, constraint=constraint)
     q_n = result.barycenter
     sigma, f_hat, xi, student = _studentize(ss, q_n, qr, basis)
     n = len(ss)

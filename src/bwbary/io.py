@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barycenter import SampleSet, SolverConfig, solve_barycenter
+from .barycenter import SampleSet, solve_barycenter
 from .exceptions import DimensionMismatchError, ParseError, ValidationError, _finite
 from .geometry import bw_distance_sq
 from .hermitian import COMPLEX, PsdMatrix, REAL, _as_array, as_psd
@@ -204,15 +204,13 @@ def w2_distance_sq(a: LocationScaleMeasure, b: LocationScaleMeasure) -> float:
     return _finite(gap + bw_distance_sq(a.covariance, b.covariance), "the squared W2 distance")
 
 
-def scale_location_barycenter(measures, weights=None,
-                              config: SolverConfig | None = None) -> LocationScaleMeasure:
+def scale_location_barycenter(measures) -> LocationScaleMeasure:
     """Barycenter of scale-location measures: Euclidean mean of the means,
     unconstrained barycenter of the covariances."""
     measures = list(measures)
-    covs = SampleSet([m.covariance.array for m in measures], weights=weights)
+    covs = SampleSet([m.covariance.array for m in measures])
     mean = np.einsum("n,nd->d", covs.weights, np.stack([m.mean for m in measures]))
-    result = solve_barycenter(covs, config=config)
-    return LocationScaleMeasure(mean, result.barycenter)
+    return LocationScaleMeasure(mean, solve_barycenter(covs).barycenter)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .barycenter import SampleSet, SolverConfig, solve_barycenter
+from .barycenter import SampleSet, solve_barycenter
 from .exceptions import (
     DegenerateCovarianceError,
     ExperimentFailureError,
@@ -43,6 +43,10 @@ _DOMAIN_LIMIT_VARIANCE = 4
 
 TRACE_ONE = "traceless-trace1"
 
+# Resolution of the per-n histogram and KDE summaries, read at call time.
+HISTOGRAM_BINS = 40
+KDE_GRID_POINTS = 256
+
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent stream for (seed, key...) -- a pure function of its inputs,
@@ -70,9 +74,9 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _checked_law(d, eig_law, u_mode) -> tuple:
-    """The checked law of a random SPD draw: dimension d, eigenvalues uniform
-    on eig_law = (a, b) with 0 < a <= b < inf, and frame u_mode; returns (a, b)."""
+def _checked_law(d, eig_law) -> tuple:
+    """The checked law of a random SPD draw: dimension d and eigenvalues uniform
+    on eig_law = (a, b) with 0 < a <= b < inf; returns (a, b)."""
     _check_count("d", d)
     try:
         a, b = (_as_float("eig_law", x, positive=True) for x in eig_law)
@@ -80,8 +84,6 @@ def _checked_law(d, eig_law, u_mode) -> tuple:
         a = b = math.nan
     if not a <= b:
         raise ValidationError(f"eig_law must be numbers 0 < a <= b < inf, got {eig_law!r}")
-    if u_mode not in ("haar", "identity"):
-        raise ValidationError(f"unknown u_mode {u_mode!r}")
     return a, b
 
 
@@ -92,7 +94,9 @@ class ExperimentConfig:
     Defaults follow the simulated-data protocol: eigenvalues uniform on
     [18, 22], a Haar-random orthogonal frame, sample sizes {3, 10, 100, 1000},
     and a 20000-draw proxy for the population barycenter.  `replicates` has no
-    canonical default and is an explicit knob.
+    canonical default and is an explicit knob.  Every solve runs with the
+    default `SolverConfig`, and the summaries have HISTOGRAM_BINS bins and
+    KDE_GRID_POINTS grid points.
 
     sampling="fresh" draws replicate samples from the parametric law, so the
     proxy carries an O(1/sqrt(pop_proxy_size)) error relative to the true
@@ -111,18 +115,12 @@ class ExperimentConfig:
     eig_law: tuple = (18.0, 22.0)
     seed: int = 0
     constraint: str | None = None
-    u_mode: str = "haar"
     sampling: str = "fresh"
     limit_draws: int = 10000
-    histogram_bins: int = 40
-    kde_grid_points: int = 256
-    solver_max_iter: int = SolverConfig.max_iter
-    solver_tol: float = SolverConfig.tol_residual
 
     def __post_init__(self):
-        self.eig_law = _checked_law(self.d, self.eig_law, self.u_mode)
-        for name in ("replicates", "pop_proxy_size", "limit_draws",
-                     "histogram_bins", "kde_grid_points", "solver_max_iter"):
+        self.eig_law = _checked_law(self.d, self.eig_law)
+        for name in ("replicates", "pop_proxy_size", "limit_draws"):
             _check_count(name, getattr(self, name))
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
             raise ValidationError(f"n_grid must be a nonempty list, got {self.n_grid!r}")
@@ -138,7 +136,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown constraint {self.constraint!r}")
         if self.sampling not in ("fresh", "pool"):
             raise ValidationError(f"unknown sampling mode {self.sampling!r}")
-        self.solver_config()  # the solver's own checks of solver_tol
         _experiment_basis(self)  # a traceless slice needs d >= 2: fail before any draw
 
     def to_dict(self) -> dict:
@@ -157,9 +154,6 @@ class ExperimentConfig:
             raise ValidationError("config requires 'd'")
         return cls(**data)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(max_iter=self.solver_max_iter, tol_residual=self.solver_tol)
-
 
 def _haar_stack(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
     gauss = rng.standard_normal((count, d, d))
@@ -169,36 +163,32 @@ def _haar_stack(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs[:, None, :]
 
 
-def _random_spd_draws(count: int, d: int, eig_law, rng: np.random.Generator,
-                      u_mode: str = "haar"):
+def _random_spd_draws(count: int, d: int, eig_law, rng: np.random.Generator):
     """count draws U diag(lam) U^T: (their stack, lam, U), lam in draw order."""
     a, b = eig_law
     lam = rng.uniform(a, b, size=(count, d))
-    u = np.broadcast_to(np.eye(d), (count, d, d)) if u_mode == "identity" else \
-        _haar_stack(count, d, rng)
+    u = _haar_stack(count, d, rng)
     return hermitian_part(_spectral(lam, u, lambda w: w)), lam, u
 
 
-def random_spd(d: int, eig_law, rng: np.random.Generator,
-               u_mode: str = "haar") -> PsdMatrix:
+def random_spd(d: int, eig_law, rng: np.random.Generator) -> PsdMatrix:
     """One draw U* diag(lam) U with lam_i ~ Unif[a, b] and Haar orthogonal U.
 
     The frame comes from QR orthonormalization of a Gaussian matrix with the
-    R-diagonal signs fixed; u_mode="identity" is the commuting test hook.  A
-    frame whose d^2 entries need more than the physical memory is a
-    ValidationError.
+    R-diagonal signs fixed.  A frame whose d^2 entries need more than the
+    physical memory is a ValidationError.
     """
-    a, b = _checked_law(d, eig_law, u_mode)
+    a, b = _checked_law(d, eig_law)
     _instance("rng", rng, np.random.Generator)
     _check_size("the drawn frame", d * d)
-    return PsdMatrix(_random_spd_draws(1, d, (a, b), rng, u_mode)[0][0], mode=REAL)
+    return PsdMatrix(_random_spd_draws(1, d, (a, b), rng)[0][0], mode=REAL)
 
 
 def _draw_set(config: ExperimentConfig, count: int, rng: np.random.Generator) -> SampleSet:
     """count draws of the configured law as a uniformly weighted SampleSet whose
     roots and spectra come from the drawn ones: no gate and no eigh.  A
     drawn matrix is exactly symmetric, so its stack is bitwise the gate's."""
-    stack, lam, u = _random_spd_draws(count, config.d, config.eig_law, rng, config.u_mode)
+    stack, lam, u = _random_spd_draws(count, config.d, config.eig_law, rng)
     if config.constraint == TRACE_ONE:
         traces = np.trace(stack, axis1=1, axis2=2)
         stack = stack / traces[:, None, None]
@@ -222,8 +212,7 @@ def _replicate_draw(config: ExperimentConfig, pool: SampleSet, n: int,
 def _population(config: ExperimentConfig):
     pool = _draw_set(config, config.pop_proxy_size, derive_rng(config.seed, _DOMAIN_PROXY))
     constraint = _experiment_basis(config) if config.constraint else None
-    result = solve_barycenter(pool, constraint=constraint,
-                              config=SolverConfig(max_iter=config.solver_max_iter))
+    result = solve_barycenter(pool, constraint=constraint)
     return result.barycenter, result.variance, pool
 
 
@@ -245,13 +234,13 @@ def _report(kind: str, config: ExperimentConfig, q_star: PsdMatrix, v_star: floa
             "per_n": per_n, **tail}
 
 
-def _summarize(values: np.ndarray, limit: np.ndarray | None, config: ExperimentConfig):
-    hist, edges = np.histogram(values, bins=config.histogram_bins)
+def _summarize(values: np.ndarray, limit: np.ndarray | None):
+    hist, edges = np.histogram(values, bins=HISTOGRAM_BINS)
     summary = {
         "histogram": {"edges": edges.tolist(), "counts": hist.tolist()},
     }
     if values.size >= 2:
-        grid, dens = empirical_density(values, config.kde_grid_points)
+        grid, dens = empirical_density(values, KDE_GRID_POINTS)
         summary["kde"] = {"grid": grid.tolist(), "values": dens.tolist()}
     else:
         summary["kde"] = None
@@ -270,14 +259,13 @@ def _replicated(config: ExperimentConfig, pool: SampleSet, basis: SubspaceBasis,
     carries summarize(records) over that n's solved replicates.
     """
     constraint = basis if config.constraint else None
-    solver_cfg = config.solver_config()
 
     def job(task):
         n, k = task
         rng = derive_rng(config.seed, _DOMAIN_REPLICATE, n, k)
         ss = _replicate_draw(config, pool, n, rng)
         try:
-            result = solve_barycenter(ss, constraint=constraint, config=solver_cfg)
+            result = solve_barycenter(ss, constraint=constraint)
         except NumericalError as exc:
             return {"replicate": k, "error": str(exc)}
         return {
@@ -346,8 +334,7 @@ def run_clt_experiment(config: ExperimentConfig) -> dict:
         }
 
     def summarize(ok):
-        return {stat: _summarize(np.array([r[stat] for r in ok]),
-                                 limit_samples.get(stat), config)
+        return {stat: _summarize(np.array([r[stat] for r in ok]), limit_samples.get(stat))
                 for stat in ("fnorm", "dbw", "variance")}
 
     per_n = _replicated(config, pool, basis, stats, summarize)
@@ -398,7 +385,7 @@ def ks_distance(a, b) -> float:
     return float(max(gap.max(), np.clip(-gap.min(), 0, 1)))  # equal CDFs give +0.0
 
 
-def empirical_density(sample, grid_points: int = 256):
+def empirical_density(sample, grid_points: int = KDE_GRID_POINTS):
     """Gaussian-kernel density estimate with the Silverman bandwidth.
 
     Returns (grid, values) on an equispaced grid spanning [min - 3h, max + 3h],

@@ -1,11 +1,12 @@
-"""Shared random generators, decomposition counting, the Frobenius inner
-product and a reference rescaled differential for the test suite."""
+"""Shared random generators, the identity-frame patch, decomposition counting,
+the Frobenius inner product and a reference rescaled differential for the
+test suite."""
 
 import math
 
 import numpy as np
 
-from bwbary import OperatorOnM, sqrt_psd, vectorize
+from bwbary import OperatorOnM, mclab, sqrt_psd, vectorize
 from bwbary.hermitian import hermitian_part
 
 
@@ -47,6 +48,25 @@ def rand_psd_singular(rng, d, rank, lo=0.5, hi=2.0):
     u = rand_orthogonal(rng, d)
     a = (u * lam) @ u.T
     return (a + a.T) / 2
+
+
+def ill_conditioned_stack() -> np.ndarray:
+    """Six d=3 samples U diag(logspace(0, -8, 3) Unif[0.5, 2]) U^T, U from QR,
+    from default_rng(5), on which the fixed point loses strict positivity: an
+    iterate's prep zeroes a root once cond(S_i) cond(Q) passes 1/PD_REL_TOL."""
+    rng = np.random.default_rng(5)
+    mats = []
+    for _ in range(6):
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        mats.append((u * (np.logspace(0, -8, 3) * rng.uniform(0.5, 2.0, 3))) @ u.T)
+    return hermitian_part(np.stack(mats))
+
+
+def identity_frames(monkeypatch) -> None:
+    """Make the simulation draw U = I as the frame.  No frame is drawn, so the
+    eigenvalues come from the same random stream as with Haar frames."""
+    monkeypatch.setattr(mclab, "_haar_stack",
+                        lambda count, d, rng: np.broadcast_to(np.eye(d), (count, d, d)))
 
 
 def count_decompositions(monkeypatch) -> list:

@@ -28,8 +28,8 @@ from bwbary.hermitian import PD_REL_TOL, SubspaceBasis, as_psd
 from bwbary.inference import estimate_f_hat, estimate_sigma_hat
 from bwbary.mclab import ExperimentConfig, _draw_set, _random_spd_draws
 
-from helpers import (count_decompositions, matrix_count, rand_orthogonal, rand_psd_singular,
-                     rand_spd)
+from helpers import (count_decompositions, identity_frames, matrix_count, rand_orthogonal,
+                     rand_psd_singular, rand_spd)
 
 
 def _rule_constraint(rule, d):
@@ -206,8 +206,8 @@ class TestUnconstrainedSolver:
         if draw == "diag":
             ss = SampleSet([np.diag([1.0, 4.0]), np.diag([9.0, 16.0])])
         else:
-            ss = _draw_set(ExperimentConfig(d=3, u_mode="identity"), 50,
-                           np.random.default_rng(3))
+            identity_frames(monkeypatch)
+            ss = _draw_set(ExperimentConfig(d=3), 50, np.random.default_rng(3))
         shapes = count_decompositions(monkeypatch)
         result = solve_barycenter(ss, constraint=standard_basis(ss.dim))
         assert [s for s in shapes if matrix_count([s]) > 1] == [ss.array.shape]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from bwbary import (
     save_bundle,
     transport_map,
 )
+from bwbary import cli
 from bwbary.cli import main
 
-from helpers import rand_spd
+from helpers import ill_conditioned_stack, rand_spd
 
 
 @pytest.fixture
@@ -308,10 +310,8 @@ class TestSimulate:
         assert "unknown" in err
 
     @pytest.mark.parametrize("cfg", [
-        {"d": "3"}, {"d": 2, "n_grid": 5}, {"d": 2, "eig_law": 5},
-        {"d": 2, "seed": -1}, {"d": 2, "solver_max_iter": "5"}, {"d": 2, "solver_tol": "x"},
-    ], ids=["d-string", "n_grid-number", "eig_law-number", "seed-negative",
-            "max_iter-string", "tol-string"])
+        {"d": "3"}, {"d": 2, "n_grid": 5}, {"d": 2, "eig_law": 5}, {"d": 2, "seed": -1},
+    ], ids=["d-string", "n_grid-number", "eig_law-number", "seed-negative"])
     def test_ill_typed_config_is_exit_1(self, capsys, tmp_path, cfg):
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "simulate", "--config", tmp_path / "cfg.json",
@@ -319,6 +319,18 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("u_mode", "identity"), ("histogram_bins", 4), ("kde_grid_points", 8),
+        ("solver_max_iter", 50), ("solver_tol", 1e-10),
+    ], ids=["u_mode", "histogram_bins", "kde_grid_points", "solver_max_iter", "solver_tol"])
+    def test_removed_key_is_unknown(self, capsys, tmp_path, key, value):
+        # settings that became constants are refused like any unknown key
+        (tmp_path / "cfg.json").write_text(json.dumps({"d": 2, key: value}))
+        code, _, err = run_cli(capsys, "simulate", "--config", tmp_path / "cfg.json",
+                               "--out", tmp_path / "r.json")
+        assert code == 1
+        assert f"unknown config keys: ['{key}']" in err
 
     def test_negative_seed_override_is_exit_1(self, capsys, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"d": 2}))
@@ -334,14 +346,11 @@ class TestConfigFuzz:
     No mutant raises a count, so one that passed validation would still
     finish quickly."""
 
-    COUNTS = ("d", "replicates", "pop_proxy_size", "limit_draws", "histogram_bins",
-              "kde_grid_points", "solver_max_iter")
+    COUNTS = ("d", "replicates", "pop_proxy_size", "limit_draws")
     WRONG_TYPES = (True, False, None, "2", [2], {"a": 2}, 2.5)
     BASES = (
         {"kind": "clt", "d": 2, "n_grid": [3, 4], "replicates": 2, "pop_proxy_size": 20,
-         "limit_draws": 10, "histogram_bins": 4, "kde_grid_points": 8, "solver_max_iter": 50,
-         "solver_tol": 1e-10, "seed": 1, "eig_law": [1.0, 2.0], "u_mode": "haar",
-         "sampling": "pool"},
+         "limit_draws": 10, "seed": 1, "eig_law": [1.0, 2.0], "sampling": "pool"},
         {"kind": "concentration", "d": 2, "n_grid": [3, 4], "replicates": 2,
          "pop_proxy_size": 20, "constraint": "traceless-trace1", "seed": 1},
     )
@@ -350,12 +359,10 @@ class TestConfigFuzz:
     def mutants(cls, base):
         bad = {key: cls.WRONG_TYPES + (0, -1) for key in cls.COUNTS}
         bad["seed"] = cls.WRONG_TYPES + (-1,)
-        bad["solver_tol"] = (True, False, None, "x", [1e-10], {}, 0, -1, float("nan"),
-                             float("inf"))
         bad["n_grid"] = (True, None, "3", 3, [], [True], [0], [-1], [2.5], [4, 3], {})
         bad["eig_law"] = (True, None, "12", 1.0, [], [1.0], [True, 2.0], [0, 2], [-1, 2],
                           [2, 1], [1, 2, 3], ["1", "2"], [1.0, float("inf")])
-        for key in ("kind", "constraint", "u_mode", "sampling"):
+        for key in ("kind", "constraint", "sampling"):
             bad[key] = (True, 1, "bogus", [], {})
         for key, values in bad.items():
             for value in values:
@@ -389,6 +396,7 @@ class TestNonFinite:
         assert got == code, (argv, out, err)
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("flag, value", [("--c-q", "inf"), ("--c-q", "nan"),
                                              ("--t", "inf"), ("--norm-q-star", "inf")])
@@ -462,6 +470,21 @@ class TestNonFinite:
                                  "--out", tmp_path / "b.mat")
         assert (code, err) == (0, "")
         assert json.loads(out)["trace"] == pytest.approx((1.0 + np.sqrt(2.0)) ** 2 / 2 * 1e200)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_map_is_exit_0(self, workdir, capsys):
+        # the push-forward residual is a norm of entries near 1e250
+        save_bundle(SampleSet([np.eye(2)]), workdir / "one.mat")
+        save_bundle(SampleSet([1e250 * np.diag([1.0, 2.0])]), workdir / "big.mat")
+        code, out, err = run_cli(capsys, "map", workdir / "one.mat", workdir / "big.mat",
+                                 "--out", workdir / "t.mat")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["push_forward_residual"] <= 1e-12 * 1e250
+
+    def test_non_finite_result_is_exit_2(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bw_distance_sq", lambda a, b: math.inf)
+        err = self._fails(capsys, 2, "distance", workdir / "q.mat", workdir / "s.mat")
+        assert "result is not finite" in err
 
     def test_infinite_tolerance_is_exit_1(self, workdir, capsys):
         out_path = workdir / "b.mat"
@@ -596,6 +619,13 @@ class TestBadInput:
         err = self._fails(capsys, 1, "envelope", "--kind", "q", "--d", "2", "--n", "100",
                           "--t", "1")
         assert "envelope q requires --c-q" in err
+
+    def test_barycenter_positivity_loss_is_exit_2(self, tmp_path, capsys):
+        save_bundle(SampleSet(ill_conditioned_stack()), tmp_path / "ill.mat")
+        err = self._fails(capsys, 2, "barycenter", tmp_path / "ill.mat",
+                          "--out", tmp_path / "out.mat")
+        assert "fixed-point iterate lost strict positivity" in err
+        assert not (tmp_path / "out.mat").exists()
 
     def test_barycenter_out_of_iterations_is_exit_2(self, workdir, capsys):
         err = self._fails(capsys, 2, "barycenter", workdir / "rich.mat", "--max-iter", "1",

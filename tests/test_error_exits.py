@@ -45,6 +45,8 @@ from bwbary import (
 )
 from bwbary.mclab import ExperimentConfig, _worker_count
 
+from helpers import ill_conditioned_stack, rand_spd
+
 B2 = standard_basis(2)
 I2, I3 = np.eye(2), np.eye(3)
 TRACELESS2 = standard_basis(2, kind="traceless")
@@ -53,6 +55,10 @@ E11 = np.array([[[1.0, 0.0], [0.0, 0.0]]])
 
 def _map():
     return transport_map(np.eye(2), 2.0 * np.eye(2))
+
+
+def _rand_spd_stack(rng, count, *args):
+    return [rand_spd(rng, *args) for _ in range(count)]
 
 
 def _threads(value):
@@ -190,6 +196,13 @@ ROWS = [
     ("eta-singular-f-prime", lambda: eta_n_diagnostic(
         [np.diag([1.0, 0.0]), np.diag([2.0, 0.0])], I2, B2),
      DegenerateCovarianceError, "F' is singular"),
+    ("fixed-point-positivity-loss", lambda: solve_barycenter(ill_conditioned_stack()),
+     PositivityLossError, "fixed-point iterate lost strict positivity"),
+    # the solver would cast the complex anchor to the samples' real dtype
+    ("complex-constraint-real-samples", lambda: solve_barycenter(
+        _rand_spd_stack(np.random.default_rng(0), 4, 3, 1e-3, 50.0),
+        constraint=standard_basis(3, mode="complex", kind="traceless")),
+     DimensionMismatchError, "a complex constraint basis needs complex samples"),
 ]
 
 # Each array argument that passes the one conversion, as (row label, its name

@@ -161,6 +161,17 @@ class TestTransportMap:
             cost = np.real(np.trace(gap @ q @ gap))
             assert cost == pytest.approx(bw_distance_sq(q, s), abs=1e-8, rel=1e-8)
 
+    def test_push_forward_error_is_the_frobenius_norm_without_overflow(self):
+        # at scale 1 the value of the plain norm; at 1e250 the plain norm squares
+        # entries of about 1e234 and overflows, though the answer fits
+        rng = np.random.default_rng(8)
+        q, s = rand_spd(rng, 3), rand_spd(rng, 3)
+        t = transport_map(q, s)
+        gap = t.matrix.array @ q @ t.matrix.array - s
+        assert t.push_forward_error() == pytest.approx(np.linalg.norm(gap), rel=1e-14)
+        big = transport_map(np.eye(2), 1e250 * np.diag([1.0, 2.0])).push_forward_error()
+        assert np.isfinite(big) and big <= 1e-14 * 1e250
+
     def test_singular_target_branch(self):
         rng = np.random.default_rng(6)
         for rank in (1, 2):

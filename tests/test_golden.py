@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bwbary import mclab
 from bwbary.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -32,13 +33,13 @@ RTOL, ATOL = 1e-6, 1e-9
 # The CLT pool (1500) is above F_HAT_CHUNK, so the chunked F-hat sum is pinned.
 CONFIGS = {
     "clt-pool": {"kind": "clt", "d": 3, "n_grid": [5, 20], "replicates": 4,
-                 "pop_proxy_size": 1500, "sampling": "pool", "limit_draws": 50,
-                 "histogram_bins": 4, "kde_grid_points": 8, "seed": 3},
+                 "pop_proxy_size": 1500, "sampling": "pool", "limit_draws": 50, "seed": 3},
     "conc-trace1": {"kind": "concentration", "d": 3, "n_grid": [5, 20], "replicates": 4,
                     "pop_proxy_size": 300, "eig_law": [1.0, 5.0],
-                    "constraint": "traceless-trace1", "histogram_bins": 4,
-                    "kde_grid_points": 8, "seed": 3},
+                    "constraint": "traceless-trace1", "seed": 3},
 }
+# Small summaries keep the recorded values short.
+SUMMARY_RESOLUTION = {"HISTOGRAM_BINS": 4, "KDE_GRID_POINTS": 8}
 CASES = [*CONFIGS, "infer"]
 
 
@@ -103,7 +104,10 @@ def run_case(name: str, directory: Path) -> dict:
         return {"stdout": _stdout("infer", bundle, "--qstar", qstar)}
     (directory / "config.json").write_text(json.dumps(CONFIGS[name]))
     report, csv = directory / "report.json", directory / "csv"
-    _stdout("simulate", "--config", directory / "config.json", "--out", report, "--csv", csv)
+    with pytest.MonkeyPatch.context() as patch:
+        for constant, value in SUMMARY_RESOLUTION.items():
+            patch.setattr(mclab, constant, value)
+        _stdout("simulate", "--config", directory / "config.json", "--out", report, "--csv", csv)
     files = {f"csv/{path.name}": path.read_bytes() for path in sorted(csv.iterdir())}
     return {"report": report.read_bytes(), **files}
 

@@ -330,3 +330,11 @@ class TestOperatorOnM:
         got = op.apply(x)
         expected = devectorize(basis, mat @ vectorize(basis, x))
         assert np.allclose(got, expected)
+
+
+def test_reprs_name_shape_and_mode_not_entries():
+    assert repr(PsdMatrix(np.eye(2, dtype=complex))) == "PsdMatrix(dim=2, mode='complex')"
+    assert repr(standard_basis(3, kind="traceless")) == \
+        "SubspaceBasis(d=3, m=5, mode='real', anchored=True)"
+    assert repr(standard_basis(2)) == "SubspaceBasis(d=2, m=3, mode='real', anchored=False)"
+    assert repr(OperatorOnM(standard_basis(2), np.eye(3))) == "OperatorOnM(m=3)"

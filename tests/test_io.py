@@ -29,7 +29,7 @@ from bwbary import (
     w2_distance_sq,
     write_report_csv,
 )
-from bwbary import io as bwio
+from bwbary import io as bwio, mclab
 from bwbary.mclab import ExperimentConfig
 
 from helpers import rand_spd
@@ -397,15 +397,28 @@ class TestReportValidatorOracle:
 
     @pytest.fixture(scope="class", params=["clt", "concentration"])
     def report(self, request):
+        # small summaries: the corruption count grows with every array entry
         cfg = ExperimentConfig(d=2, n_grid=(3, 4), replicates=2, pop_proxy_size=40,
-                               limit_draws=5, histogram_bins=3, kde_grid_points=4, seed=7)
+                               limit_draws=5, seed=7)
         runner = run_clt_experiment if request.param == "clt" else run_concentration_experiment
-        return runner(cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mclab, "HISTOGRAM_BINS", 3)
+            patch.setattr(mclab, "KDE_GRID_POINTS", 4)
+            return runner(cfg)
 
     def test_valid_report_passes_both(self, report):
         oracle = Draft202012Validator(bwio._report_validator().schema)
         assert oracle.is_valid(report)
         assert best_match(bwio._report_validator().iter_errors(report)) is None
+
+    def test_report_echoing_removed_settings_loads(self, report, tmp_path):
+        # reports written while these were config keys echo them
+        old = copy.deepcopy(report)
+        old["config"].update(u_mode="haar", histogram_bins=40, kde_grid_points=256,
+                             solver_max_iter=500, solver_tol=1e-10)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old, separators=(",", ":")) + "\n")
+        assert load_report(path) == old
 
     def test_corrupted_reports_fail_alike(self, report, tmp_path):
         oracle = Draft202012Validator(bwio._report_validator().schema)

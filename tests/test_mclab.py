@@ -23,7 +23,7 @@ from bwbary import barycenter, mclab
 from bwbary.mclab import (_DOMAIN_PROXY, ExperimentConfig, _population, _replicate_draw,
                           _worker_count)
 
-from helpers import count_decompositions, matrix_count
+from helpers import count_decompositions, identity_frames, matrix_count
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -61,9 +61,10 @@ class TestRandomSpd:
         b = random_spd(3, (18.0, 22.0), np.random.default_rng(7))
         assert np.array_equal(a.array, b.array)
 
-    def test_identity_hook_is_diagonal(self):
+    def test_identity_hook_is_diagonal(self, monkeypatch):
+        identity_frames(monkeypatch)
         rng = np.random.default_rng(2)
-        m = random_spd(3, (1.0, 2.0), rng, u_mode="identity")
+        m = random_spd(3, (1.0, 2.0), rng)
         assert np.allclose(m.array, np.diag(np.diagonal(m.array)))
 
     def test_nonpositive_law_rejected(self):
@@ -90,7 +91,7 @@ class TestConfig:
             ExperimentConfig(d=2, constraint="bogus")
         for bad in ({"d": "3"}, {"d": 2.0}, {"d": 2, "n_grid": 5}, {"d": 2, "n_grid": (3.5,)},
                     {"d": 2, "eig_law": 5}, {"d": 2, "eig_law": (1.0, 2.0, 3.0)},
-                    {"d": 2, "seed": -1}, {"d": 2, "solver_tol": "x"}):
+                    {"d": 2, "seed": -1}):
             with pytest.raises(ValidationError):
                 ExperimentConfig(**bad)
         with pytest.raises(ValidationError):
@@ -98,9 +99,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         {"d": True}, {"replicates": True}, {"seed": False}, {"n_grid": [True, 2]},
-        {"solver_tol": True}, {"eig_law": [True, 2]}, {"solver_max_iter": True},
-        {"eig_law": ["1", "2"]}, {"eig_law": [1.0, float("inf")]}, {"eig_law": [1, 10 ** 400]},
-    ], ids=["d", "replicates", "seed", "n_grid", "solver_tol", "eig_law", "max_iter",
+        {"eig_law": [True, 2]}, {"eig_law": ["1", "2"]}, {"eig_law": [1.0, float("inf")]},
+        {"eig_law": [1, 10 ** 400]},
+    ], ids=["d", "replicates", "seed", "n_grid", "eig_law",
             "eig_law-strings", "eig_law-infinite", "eig_law-huge-int"])
     def test_booleans_and_non_numbers_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -120,19 +121,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown"):
             ExperimentConfig.from_dict({"d": 2, "bogus": 1})
 
+    def test_fields_are_pinned(self):
+        # every field has a caller outside the tests; the solver settings and
+        # the summary resolution are constants
+        assert list(ExperimentConfig.__dataclass_fields__) == [
+            "d", "n_grid", "replicates", "pop_proxy_size", "eig_law", "seed", "constraint",
+            "sampling", "limit_draws"]
+
 
 class TestPopulationProxy:
-    def test_point_mass_law(self):
-        cfg = ExperimentConfig(d=3, eig_law=(5.0, 5.0), u_mode="identity",
-                               pop_proxy_size=50)
+    def test_point_mass_law(self, monkeypatch):
+        identity_frames(monkeypatch)
+        cfg = ExperimentConfig(d=3, eig_law=(5.0, 5.0), pop_proxy_size=50)
         q_star, v_star = population_proxy(cfg)
         assert np.allclose(q_star.array, 5.0 * np.eye(3), atol=1e-9)
         assert v_star == pytest.approx(0.0, abs=1e-9)
 
-    def test_commuting_hook_closed_form(self):
+    def test_commuting_hook_closed_form(self, monkeypatch):
+        identity_frames(monkeypatch)
         # with U = I the barycenter is diagonal with sqrt(q_j) = mean sqrt(lam_j)
-        cfg = ExperimentConfig(d=3, eig_law=(1.0, 9.0), u_mode="identity",
-                               pop_proxy_size=40, seed=99)
+        cfg = ExperimentConfig(d=3, eig_law=(1.0, 9.0), pop_proxy_size=40, seed=99)
         q_star, v_star = population_proxy(cfg)
         lam = derive_rng(cfg.seed, _DOMAIN_PROXY).uniform(1.0, 9.0, size=(40, 3))
         expected = np.mean(np.sqrt(lam), axis=0) ** 2
@@ -223,8 +231,11 @@ class TestCltExperiment:
         report = run_clt_experiment(cfg)
         for block in report["per_n"]:
             for stat in ("fnorm", "dbw", "variance"):
-                counts = block["summaries"][stat]["histogram"]["counts"]
-                assert sum(counts) == len(block["replicates"])
+                summary = block["summaries"][stat]
+                assert sum(summary["histogram"]["counts"]) == len(block["replicates"])
+                # the default resolution
+                assert len(summary["histogram"]["counts"]) == 40
+                assert len(summary["kde"]["grid"]) == len(summary["kde"]["values"]) == 256
 
     def test_pool_sampling_draws_from_pool(self):
         cfg = small_config(sampling="pool", seed=53)
@@ -296,10 +307,10 @@ class TestCltExperiment:
 
 
 class TestConcentrationExperiment:
-    def test_point_mass_errors_vanish(self):
+    def test_point_mass_errors_vanish(self, monkeypatch):
+        identity_frames(monkeypatch)
         cfg = ExperimentConfig(d=2, n_grid=(2, 4), replicates=3,
-                               pop_proxy_size=30, eig_law=(5.0, 5.0),
-                               u_mode="identity", seed=3)
+                               pop_proxy_size=30, eig_law=(5.0, 5.0), seed=3)
         report = run_concentration_experiment(cfg)
         for block in report["per_n"]:
             for rec in block["replicates"]:

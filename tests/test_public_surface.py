@@ -84,8 +84,11 @@ PARAMETERS = {
     "residual": ["q", "samples", "basis"],
     "operator_matrix": ["t", "basis"],
     "estimate_xi_hat": ["sigma_hat", "f_hat"],
-    "variance_clt_stats": ["samples", "q_ref", "v_ref", "config"],
+    "variance_clt_stats": ["samples", "q_ref", "v_ref"],
     "population_proxy": ["config"],
+    "random_spd": ["d", "eig_law", "rng"],
+    "clt_report": ["samples", "q_ref", "basis", "v_ref"],
+    "scale_location_barycenter": ["measures"],
 }
 
 

@@ -67,6 +67,10 @@ FAULTS = [
      "PSD_REL_TOL = 1e-10", "PSD_REL_TOL = 1e-8"),
     ("xi-rank-tol", "inference.py",
      "XI_RANK_TOL = 1e-10", "XI_RANK_TOL = 1e-8"),
+    ("histogram-bins", "mclab.py",
+     "HISTOGRAM_BINS = 40", "HISTOGRAM_BINS = 39"),
+    ("kde-grid-points", "mclab.py",
+     "KDE_GRID_POINTS = 256", "KDE_GRID_POINTS = 255"),
 ]
 
 
